@@ -11,7 +11,7 @@
 // judged on.
 //
 // Part B (zero-loss rate row): an n = 10,000 tree with a short propagation
-// factor (keeps the event heap at a bounded lead over delivery), zero loss,
+// factor (keeps few packets in flight on each link), zero loss,
 // recovery idle. The engine must push at least 1M packets/sec of deliveries
 // through the event loop; --min-goodput makes the floor enforcing (CI
 // passes a conservative floor so only a real regression trips it).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <map>
-#include <queue>
 
 #include "omt/common/error.h"
 #include "omt/obs/metrics.h"
@@ -64,6 +63,10 @@ struct Metrics {
   }
 };
 
+constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+/// One pending event. Every event lives in the EventQueue's slab; a data
+/// packet in flight also waits in the FIFO of the link it crosses.
 struct Event {
   enum Kind : std::uint8_t {
     kEmit,       ///< source emits the next packet
@@ -79,23 +82,153 @@ struct Event {
 
   double time = 0.0;
   std::uint64_t id = 0;  ///< creation order: the deterministic tie-break
-  Kind kind = kEmit;
+  double aux = 0.0;  ///< kData: serialization-complete time at the sender
   NodeId node = kNoNode;
   NodeId peer = kNoNode;
   std::uint32_t seq = 0;
   std::uint32_t count = 0;
-  double aux = 0.0;  ///< kData: serialization-complete time at the sender
+  /// Slab slot of the next packet on the same link (kData), or of the next
+  /// free slot once the event is released.
+  std::uint32_t next = kNil;
+  Kind kind = kEmit;
 };
 
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.id > b.id;
+/// The pending events, popped in (time, id) order by merging the per-link
+/// FIFOs of in-flight data packets through a heap of compact keys that also
+/// holds every timer and control event (see the determinism paragraph in
+/// engine.h). All events share one slab recycled through an intrusive free
+/// list, so memory follows the in-flight peak.
+class EventQueue {
+ public:
+  /// Open an empty link; returns its index.
+  std::uint32_t openLink() {
+    OMT_CHECK(links_.size() < kLinkRef, "too many links");
+    links_.push_back(Link{});
+    return static_cast<std::uint32_t>(links_.size() - 1);
   }
+
+  /// Queue a timer or control event; assigns its id.
+  void push(Event ev) {
+    ev.id = nextId_++;
+    heapPush({ev.time, ev.id, store(ev)});
+  }
+
+  /// Queue a data packet at the tail of `link`; assigns its id.
+  void pushData(std::uint32_t link, Event ev) {
+    ev.id = nextId_++;
+    const std::uint32_t slot = store(ev);
+    Link& l = links_[link];
+    if (l.head == kNil) {
+      l.head = l.tail = slot;
+      heapPush({ev.time, ev.id, link | kLinkRef});
+      return;
+    }
+    Event& tail = slab_[l.tail];
+    OMT_CHECK(ev.time >= tail.time, "link arrivals out of (time, id) order");
+    tail.next = slot;
+    l.tail = slot;
+  }
+
+  bool empty() const { return heap_.empty(); }
+  double nextTime() const { return heap_.front().time; }
+
+  /// Remove and return the earliest event.
+  Event pop() {
+    std::uint32_t slot = heap_.front().ref;
+    if (slot & kLinkRef) {
+      Link& l = links_[slot & ~kLinkRef];
+      const std::uint32_t linkRef = slot;
+      slot = l.head;
+      l.head = slab_[slot].next;
+      if (l.head == kNil) {
+        l.tail = kNil;
+        popTop();
+      } else {
+        const Event& head = slab_[l.head];
+        siftDown({head.time, head.id, linkRef});  // replaces the top key
+      }
+    } else {
+      popTop();
+    }
+    Event ev = slab_[slot];
+    slab_[slot].next = free_;
+    free_ = slot;
+    return ev;
+  }
+
+ private:
+  /// Tags a heap key's `ref` as a link index rather than a slab slot.
+  static constexpr std::uint32_t kLinkRef = 0x80000000u;
+
+  struct Key {
+    double time = 0.0;
+    std::uint64_t id = 0;
+    std::uint32_t ref = 0;  ///< slab slot, or link index | kLinkRef
+  };
+  struct Link {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  static bool before(const Key& a, const Key& b) {
+    return a.time < b.time || (a.time == b.time && a.id < b.id);
+  }
+
+  std::uint32_t store(const Event& ev) {
+    std::uint32_t slot = free_;
+    if (slot == kNil) {
+      OMT_CHECK(slab_.size() < kLinkRef, "too many pending events");
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.push_back(ev);
+    } else {
+      free_ = slab_[slot].next;
+      slab_[slot] = ev;
+    }
+    return slot;
+  }
+
+  void heapPush(const Key& key) {
+    std::size_t i = heap_.size();
+    heap_.push_back(key);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(key, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = key;
+  }
+
+  void popTop() {
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) siftDown(last);
+  }
+
+  /// Put `key` into the hole at the root and restore the heap order.
+  void siftDown(const Key& key) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], key)) break;
+      heap_[i] = heap_[child];
+      i = child;
+    }
+    heap_[i] = key;
+  }
+
+  std::vector<Key> heap_;
+  std::vector<Event> slab_;
+  std::vector<Link> links_;
+  std::uint32_t free_ = kNil;
+  std::uint64_t nextId_ = 0;
 };
 
 struct NodeState {
   NodeId parent = kNoNode;
+  std::uint32_t link = kNil;  ///< inbound link from the current parent
+  double linkDelay = 0.0;  ///< propagation delay of that link
   std::vector<NodeId> children;
   std::vector<std::uint8_t> childDone;  ///< parallel to children
   bool crashed = false;
@@ -139,15 +272,19 @@ class Engine {
   // -- event plumbing --------------------------------------------------
   void schedule(double time, Event::Kind kind, NodeId node,
                 NodeId peer = kNoNode, std::uint32_t seq = 0,
-                std::uint32_t count = 0, double aux = 0.0) {
-    heap_.push(Event{time, nextEventId_++, kind, node, peer, seq, count, aux});
+                std::uint32_t count = 0) {
+    queue_.push({.time = time, .node = node, .peer = peer, .seq = seq,
+                 .count = count, .kind = kind});
+  }
+
+  double propagationDelay(NodeId from, NodeId to) const {
+    return o_.propagationFactor *
+           distance(points_[static_cast<std::size_t>(from)],
+                    points_[static_cast<std::size_t>(to)]);
   }
 
   double controlDelay(NodeId from, NodeId to) const {
-    return o_.perHopOverhead +
-           o_.propagationFactor *
-               distance(points_[static_cast<std::size_t>(from)],
-                        points_[static_cast<std::size_t>(to)]);
+    return o_.perHopOverhead + propagationDelay(from, to);
   }
 
   /// One lossy control transmission (NACK/SYNC/COMPLETE): returns false and
@@ -178,12 +315,12 @@ class Engine {
       ++result_.linkLosses;
       return;
     }
-    const double arrive =
-        depart + o_.perHopOverhead +
-        o_.propagationFactor *
-            distance(points_[static_cast<std::size_t>(sender)],
-                     points_[static_cast<std::size_t>(child)]);
-    schedule(arrive, Event::kData, child, sender, wireSeq(seq), 0, depart);
+    const NodeState& c = nodes_[static_cast<std::size_t>(child)];
+    const double arrive = depart + o_.perHopOverhead + c.linkDelay;
+    queue_.pushData(c.link,
+                    {.time = arrive, .aux = depart, .node = child,
+                     .peer = sender, .seq = wireSeq(seq),
+                     .kind = Event::kData});
   }
 
   /// Serve any pending child refetch requests for `seq` as it passes
@@ -572,6 +709,8 @@ class Engine {
     }
     NodeState& np = nodes_[static_cast<std::size_t>(chosen)];
     c.parent = chosen;
+    c.link = queue_.openLink();  // the old parent's link drains on its own
+    c.linkDelay = propagationDelay(chosen, ev.node);
     np.children.push_back(ev.node);
     np.childDone.push_back(0);
     ++result_.rehomedChildren;
@@ -597,8 +736,7 @@ class Engine {
   bool obsOn_ = false;
 
   std::vector<NodeState> nodes_;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
-  std::uint64_t nextEventId_ = 0;
+  EventQueue queue_;
   std::int64_t emitted_ = 0;
   double lastProgress_ = 0.0;
   DataplaneResult result_;
@@ -622,7 +760,8 @@ void Engine::validate() const {
   for (const LossBurstWindow& w : o_.lossBursts)
     OMT_CHECK(w.extraLoss >= 0.0 && w.extraLoss < 1.0 && w.end >= w.start,
               "malformed loss-burst window");
-  OMT_CHECK(o_.reorderWindow >= 1, "reorder window must be positive");
+  OMT_CHECK(o_.reorderWindow >= 1 && o_.reorderWindow <= kMaxReorderWindow,
+            "reorder window outside [1, kMaxReorderWindow]");
   OMT_CHECK(o_.retransmitBuffer >= 1, "retransmit buffer must be positive");
   OMT_CHECK(o_.retransmitBufferPerNode.empty() ||
                 o_.retransmitBufferPerNode.size() ==
@@ -704,6 +843,8 @@ DataplaneResult Engine::run() {
   for (NodeId v = 0; v < tree_.size(); ++v) {
     NodeState& n = nodes_[static_cast<std::size_t>(v)];
     n.parent = v == tree_.root() ? kNoNode : tree_.parentOf(v);
+    n.link = queue_.openLink();
+    if (n.parent != kNoNode) n.linkDelay = propagationDelay(n.parent, v);
     const auto children = tree_.childrenOf(v);
     n.children.assign(children.begin(), children.end());
     n.childDone.assign(n.children.size(), 0);
@@ -728,15 +869,11 @@ DataplaneResult Engine::run() {
 
   Stopwatch watch;
   double endTime = 0.0;
-  while (!heap_.empty()) {
-    const Event ev = heap_.top();
-    heap_.pop();
-    if (ev.time > o_.maxSimTime ||
-        ev.time > lastProgress_ + o_.stallTimeout) {
-      endTime = ev.time;
+  while (!queue_.empty()) {
+    endTime = queue_.nextTime();
+    if (endTime > o_.maxSimTime || endTime > lastProgress_ + o_.stallTimeout)
       break;
-    }
-    endTime = ev.time;
+    const Event ev = queue_.pop();
     ++result_.eventsProcessed;
     switch (ev.kind) {
       case Event::kEmit: onEmit(ev); break;

@@ -30,7 +30,19 @@
 // totally ordered by (time, creation id). Given (seed, tree, schedule) the
 // event order, every counter, and every per-node delivery log are
 // bit-identical on every run and for any OMT_THREADS value — the chaos gate
-// asserts this by replaying runs and comparing delivery-log hashes.
+// asserts this by replaying runs and comparing delivery-log hashes, and the
+// golden tests pin the whole result.
+//
+// The order comes from merging per-link FIFOs. A data packet in flight
+// waits in the FIFO of its link (one per child's current parent edge; a
+// re-home opens a new link and the old one drains), and a heap keyed by
+// (time, id) holds only the head of each non-empty link plus every timer
+// and control message. Within one link the arrivals are already sorted:
+// the sender's uplink departures never decrease, the link adds the same
+// delay to each, and ids grow with creation. Merging sorted runs through a
+// (time, id) heap pops exactly the sequence one heap over all events
+// would, while the heap holds about one key per busy link instead of one
+// per packet in flight. Every append re-checks the premise.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +83,8 @@ struct DataplaneOptions {
   std::vector<LossBurstWindow> lossBursts;  ///< scheduled extra loss
 
   // Recovery.
-  int reorderWindow = 1024;         ///< out-of-order/dup window (packets)
+  /// Out-of-order/dup window (packets), in [1, kMaxReorderWindow].
+  int reorderWindow = 1024;
   std::int64_t retransmitBuffer = 4096;  ///< per-node resendable ring
   /// Optional per-node retransmit ring capacities (size must equal the
   /// tree size); empty = `retransmitBuffer` everywhere. Heterogeneous

@@ -18,7 +18,8 @@ std::uint64_t unwrapSeq(std::uint32_t wire, std::uint64_t reference) {
 }
 
 ReorderWindow::ReorderWindow(int capacity) {
-  OMT_CHECK(capacity >= 1, "reorder window capacity must be positive");
+  OMT_CHECK(capacity >= 1 && capacity <= kMaxReorderWindow,
+            "reorder window capacity outside [1, kMaxReorderWindow]");
   capacity_ = (capacity + 63) & ~63;  // round up to whole 64-bit words
   bits_.assign(static_cast<std::size_t>(capacity_ >> 6), 0);
 }

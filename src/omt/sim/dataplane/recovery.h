@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace omt::dataplane {
@@ -43,6 +44,11 @@ inline std::uint32_t wireSeq(std::uint64_t seq) {
 /// windows the engine allows.
 std::uint64_t unwrapSeq(std::uint32_t wire, std::uint64_t reference);
 
+/// Largest reorder window whose round-up to whole 64-bit words fits in an
+/// `int`.
+inline constexpr int kMaxReorderWindow =
+    std::numeric_limits<int>::max() & ~63;
+
 /// Bounded out-of-order bitmap. Capacity is rounded up to a multiple of 64;
 /// sequences are stored at `seq % capacity`, which is collision-free as
 /// long as only sequences within one capacity-sized window are parked —
@@ -50,6 +56,7 @@ std::uint64_t unwrapSeq(std::uint32_t wire, std::uint64_t reference);
 class ReorderWindow {
  public:
   ReorderWindow() = default;
+  /// Throws omt::InvalidArgument unless 1 <= capacity <= kMaxReorderWindow.
   explicit ReorderWindow(int capacity);
 
   bool test(std::uint64_t seq) const {

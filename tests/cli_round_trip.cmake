@@ -6,6 +6,16 @@ function(run)
   endif()
 endfunction()
 
+# A command that must be refused with a typed error (exit 1 and an
+# "invalid argument" message), not run, crash or abort.
+function(run_rejected)
+  execute_process(COMMAND ${ARGV} RESULT_VARIABLE code OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR NOT err MATCHES "invalid argument")
+    message(FATAL_ERROR "command not rejected (${code}: ${err}): ${ARGV}")
+  endif()
+endfunction()
+
 set(pts ${WORKDIR}/cli_pts.txt)
 set(tree ${WORKDIR}/cli_tree.txt)
 set(svg ${WORKDIR}/cli_fig.svg)
@@ -14,6 +24,12 @@ run(${OMTCLI} build --points ${pts} --algo polar --degree 6 --out ${tree})
 run(${OMTCLI} metrics --points ${pts} --tree ${tree} --degree 6)
 run(${OMTCLI} simulate --points ${pts} --tree ${tree} --serialization 0.01 --order deepest)
 run(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --loss 0.01 --control-loss 0.005 --seed 7)
+# Integer flags must parse whole and fit their field: 2^32 + 128 must not
+# wrap to a 128-packet queue, 2^32 must not wrap to degree 0 ("use the
+# tree's cap"), and trailing garbage is an error.
+run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --queue 4294967424)
+run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --degree 4294967296)
+run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --queue 12abc)
 run(${OMTCLI} render --points ${pts} --tree ${tree} --grid 1 --out ${svg})
 
 # Multi-group service: generate + save the membership script, then replay

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "omt/common/error.h"
@@ -11,6 +16,7 @@
 #include "omt/sim/dataplane/engine.h"
 #include "omt/sim/dataplane/link.h"
 #include "omt/sim/dataplane/recovery.h"
+#include "omt/tree/metrics.h"
 
 namespace omt::dataplane {
 namespace {
@@ -408,6 +414,16 @@ TEST(DataplaneEngineTest, ValidationRejectsBadOptions) {
   options = {};
   options.retransmitBufferPerNode = {16};  // tree has two nodes
   EXPECT_THROW(runDataplane(tree, points, options), InvalidArgument);
+
+  // Windows whose round-up to whole 64-bit words would overflow an int.
+  options = {};
+  options.reorderWindow = std::numeric_limits<int>::max();
+  EXPECT_THROW(runDataplane(tree, points, options), InvalidArgument);
+  options.reorderWindow = kMaxReorderWindow + 1;
+  EXPECT_THROW(runDataplane(tree, points, options), InvalidArgument);
+  EXPECT_THROW(ReorderWindow(std::numeric_limits<int>::max()),
+               InvalidArgument);
+  EXPECT_THROW(ReorderWindow(kMaxReorderWindow + 1), InvalidArgument);
 }
 
 TEST(DataplaneChaosHelpersTest, SampleCrashScheduleIsDeterministic) {
@@ -443,6 +459,223 @@ TEST(DataplaneChaosHelpersTest, LossBurstsDropNonLossWindows) {
   ASSERT_EQ(bursts.size(), 1u);
   EXPECT_DOUBLE_EQ(bursts[0].start, 1.0);
   EXPECT_DOUBLE_EQ(bursts[0].extraLoss, 0.4);
+}
+
+// ---------------------------------------------------------------- golden
+//
+// The engine's whole output pinned on six fixed configurations. The chaos
+// gate and DeterministicReplay only compare a binary with itself, and every
+// complete in-order run has the same per-node log hash, so neither would
+// notice a change to the order in which events are processed. These lines
+// would: the RNG is consumed in event order, so any reordering moves the
+// loss pattern, the counters, the latency sum, or the end time. If the
+// engine's behaviour is changed on purpose, update the strings and say so
+// in the change description.
+
+std::uint64_t bitsOf(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every counter, peak and outcome of `r` on one line: floating-point
+/// fields as bit patterns, the per-node reports folded into one FNV-1a
+/// hash.
+std::string goldenLine(const DataplaneResult& r) {
+  std::uint64_t nodes = 14695981039346656037ULL;
+  const auto mix = [&nodes](std::uint64_t v) {
+    nodes = (nodes ^ v) * 1099511628211ULL;
+  };
+  for (const NodeReport& n : r.nodes) {
+    mix(static_cast<std::uint64_t>(n.delivered));
+    mix(n.nextExpected);
+    mix(n.logHash);
+    mix(n.crashed ? 1 : 0);
+    mix(bitsOf(n.crashTime));
+  }
+  std::ostringstream out;
+  out << "sent=" << r.packetsSent << " deliveries=" << r.deliveries
+      << " dups=" << r.duplicatesSuppressed << " reorderDrops="
+      << r.reorderDrops << " queueDrops=" << r.queueDrops
+      << " linkLosses=" << r.linkLosses << " crashAborts=" << r.crashAborts
+      << " nacks=" << r.nacksSent << " controlLost=" << r.nacksLost
+      << " retx=" << r.retransmits << " evictions=" << r.retransmitEvictions
+      << " misses=" << r.evictionMisses << " refetches=" << r.refetches
+      << " syncs=" << r.syncsSent << " rehomed=" << r.rehomedChildren
+      << " overCap=" << r.rehomesOverCap << " crashed=" << r.crashedNodes
+      << " peakReorder=" << r.peakReorderBuffered
+      << " peakRetx=" << r.peakRetransmitHeld
+      << " peakQueue=" << r.peakQueueDepth
+      << " peakServes=" << r.peakPendingServes
+      << " events=" << r.eventsProcessed << " undelivered=" << r.undelivered
+      << " completed=" << r.completed << " stalled=" << r.stalled
+      << " latencyCount=" << r.deliveryLatency.count() << std::hex
+      << " end=" << bitsOf(r.simEndTime)
+      << " p50=" << bitsOf(r.deliveryLatency.p50())
+      << " p99=" << bitsOf(r.deliveryLatency.p99())
+      << " sum=" << bitsOf(r.deliveryLatency.sum())
+      << " log=" << r.deliveryLogHash << " nodes=" << nodes;
+  return out.str();
+}
+
+struct GoldenOverlay {
+  std::vector<Point> points;
+  MulticastTree tree;
+};
+
+GoldenOverlay goldenOverlay(std::int64_t n, std::uint64_t seed) {
+  std::vector<Point> points = workload(n, seed);
+  MulticastTree tree = buildPolarGridTree(points, 0).tree;
+  return {std::move(points), std::move(tree)};
+}
+
+TEST(DataplaneGoldenTest, Clean) {
+  const GoldenOverlay g = goldenOverlay(200, 41);
+  DataplaneOptions options;
+  options.packetCount = 300;
+  const DataplaneResult r = runDataplane(g.tree, g.points, options);
+  EXPECT_EQ(goldenLine(r),
+            "sent=59700 deliveries=60000 dups=0 reorderDrops=0 queueDrops=0 "
+            "linkLosses=0 crashAborts=0 nacks=0 controlLost=0 retx=0 "
+            "evictions=0 misses=0 refetches=0 syncs=5833 rehomed=0 overCap=0 "
+            "crashed=0 peakReorder=0 peakRetx=300 peakQueue=6 peakServes=0 "
+            "events=76885 undelivered=0 completed=1 stalled=0 "
+            "latencyCount=59700 end=401138b22f8021ea p50=3fefa6232e7e840e "
+            "p99=3ffbbe9209aca831 sum=40ebe2125d6cb510 log=d51f75eb2c4d2f3d "
+            "nodes=5da24152c73af10d");
+}
+
+TEST(DataplaneGoldenTest, IidDataAndControlLoss) {
+  const GoldenOverlay g = goldenOverlay(200, 42);
+  DataplaneOptions options;
+  options.packetCount = 300;
+  options.lossProbability = 0.05;
+  options.controlLoss = 0.05;
+  options.seed = 4201;
+  const DataplaneResult r = runDataplane(g.tree, g.points, options);
+  EXPECT_EQ(goldenLine(r),
+            "sent=62882 deliveries=60000 dups=0 reorderDrops=0 "
+            "queueDrops=17526 linkLosses=3182 crashAborts=0 nacks=3734 "
+            "controlLost=8765 retx=19098 evictions=0 misses=0 refetches=0 "
+            "syncs=164885 rehomed=0 overCap=0 crashed=0 peakReorder=295 "
+            "peakRetx=300 peakQueue=128 peakServes=0 events=294582 "
+            "undelivered=0 completed=1 stalled=0 latencyCount=59700 "
+            "end=403c2e5822608577 p50=402738660aa954bc p99=4037728ba6689efa "
+            "sum=4124c8361a15c908 log=d51f75eb2c4d2f3d "
+            "nodes=5da24152c73af10d");
+}
+
+TEST(DataplaneGoldenTest, BurstsWithCrashesInFlight) {
+  // Hops of up to half a second and a 0.3 s stream: a relay that crashes
+  // mid-stream still has packets in flight to its children when they
+  // re-home 50 ms later, so the old parent's link drains beside the new.
+  const GoldenOverlay g = goldenOverlay(300, 43);
+  DataplaneOptions options;
+  options.packetCount = 300;
+  options.packetInterval = 1e-3;
+  options.propagationFactor = 0.5;
+  options.burst.burstStartProbability = 0.005;
+  options.burst.burstStopProbability = 0.3;
+  options.burst.burstLossProbability = 0.3;
+  options.controlLoss = 0.01;
+  // Every third relay crashes halfway through the stream it forwards.
+  const std::vector<double> delays = computeDelays(g.tree, g.points);
+  int relays = 0;
+  for (NodeId v = 1; v < g.tree.size(); ++v) {
+    if (g.tree.childrenOf(v).size() < 2 || relays++ % 3 != 0) continue;
+    options.crashes.push_back(
+        {v, options.propagationFactor * delays[static_cast<std::size_t>(v)] +
+                0.15});
+  }
+  std::sort(options.crashes.begin(), options.crashes.end(),
+            [](const CrashEvent& a, const CrashEvent& b) {
+              return a.time < b.time;
+            });
+  options.seed = 4302;
+  const DataplaneResult r = runDataplane(g.tree, g.points, options);
+  EXPECT_GT(r.rehomedChildren, 0);
+  EXPECT_EQ(goldenLine(r),
+            "sent=85297 deliveries=84037 dups=689 reorderDrops=0 "
+            "queueDrops=15068 linkLosses=502 crashAborts=0 nacks=827 "
+            "controlLost=619 retx=16237 evictions=0 misses=0 refetches=0 "
+            "syncs=57044 rehomed=85 overCap=0 crashed=24 peakReorder=277 "
+            "peakRetx=300 peakQueue=128 peakServes=0 events=170318 "
+            "undelivered=0 completed=1 stalled=0 latencyCount=83737 "
+            "end=4020d5b15e0dbdb1 p50=40034eaaf6493d39 p99=4015cbc0abd1c062 "
+            "sum=4107ac779e72bb4a log=86937c938f275eab "
+            "nodes=ac18ae59a8a75c58");
+}
+
+TEST(DataplaneGoldenTest, ZeroSerializationTiesAndWraparound) {
+  // Free serialization: a flushed run departs at one instant, so its
+  // arrivals tie on time and are ordered by creation id alone.
+  const GoldenOverlay g = goldenOverlay(200, 44);
+  DataplaneOptions options;
+  options.packetCount = 400;
+  options.serializationTime = 0.0;
+  options.firstSequence = 0xFFFFFFFFu - 150;
+  options.lossProbability = 0.03;
+  options.seed = 4401;
+  const DataplaneResult r = runDataplane(g.tree, g.points, options);
+  EXPECT_GT(r.retransmits, 0);
+  EXPECT_EQ(goldenLine(r),
+            "sent=81972 deliveries=80000 dups=0 reorderDrops=0 queueDrops=0 "
+            "linkLosses=2372 crashAborts=0 nacks=2309 controlLost=0 "
+            "retx=2372 evictions=0 misses=0 refetches=0 syncs=56772 "
+            "rehomed=0 overCap=0 crashed=0 peakReorder=386 peakRetx=400 "
+            "peakQueue=1 peakServes=0 events=169405 undelivered=0 "
+            "completed=1 stalled=0 latencyCount=79600 end=402a9dfddca83f08 "
+            "p50=401274309012a62e p99=4023e11ab96ec9e7 sum=41161f0162ce7a7e "
+            "log=ae1d001d28ad15dd nodes=dd575272839b2965");
+}
+
+TEST(DataplaneGoldenTest, LossBurstsEvictionAndRefetch) {
+  const GoldenOverlay g = goldenOverlay(250, 45);
+  DataplaneOptions options;
+  options.packetCount = 600;
+  options.propagationFactor = 0.05;
+  options.queueCapacity = 8;
+  options.lossBursts = {{0.01, 0.03, 0.9}, {0.06, 0.07, 0.95}};
+  options.retransmitBufferPerNode.resize(
+      static_cast<std::size_t>(g.tree.size()));
+  for (std::size_t v = 0; v < options.retransmitBufferPerNode.size(); ++v)
+    options.retransmitBufferPerNode[v] =
+        16 + static_cast<std::int64_t>(v % 4) * 48;
+  options.retransmitBufferPerNode[0] = 4096;  // the source holds the stream
+  options.seed = 4501;
+  const DataplaneResult r = runDataplane(g.tree, g.points, options);
+  EXPECT_GT(r.evictionMisses, 0);
+  EXPECT_GT(r.refetches, 0);
+  EXPECT_GT(r.queueDrops, 0);
+  EXPECT_EQ(goldenLine(r),
+            "sent=168116 deliveries=150000 dups=15892 reorderDrops=0 "
+            "queueDrops=211096 linkLosses=2824 crashAborts=0 nacks=22856 "
+            "controlLost=215 retx=70607 evictions=127512 misses=438954 "
+            "refetches=97543 syncs=109816 rehomed=0 overCap=0 crashed=0 "
+            "peakReorder=323 peakRetx=600 peakQueue=8 peakServes=481 "
+            "events=455235 undelivered=0 completed=1 stalled=0 "
+            "latencyCount=149400 end=4026ed2b5442e3a4 p50=4013a517aee8723f "
+            "p99=402956be1f3d6138 sum=4126bf4fc8c2bf7f log=96aa7974f40a5610 "
+            "nodes=4e58e175c5cf85b7");
+}
+
+TEST(DataplaneGoldenTest, NarrowReorderWindowCappedRehomes) {
+  const GoldenOverlay g = goldenOverlay(250, 46);
+  DataplaneOptions options;
+  options.packetCount = 500;
+  options.reorderWindow = 64;
+  options.maxOutDegree = 3;
+  options.lossProbability = 0.03;
+  options.crashes = sampleCrashSchedule(4601, g.tree, 0.05, 0.5);
+  options.seed = 4602;
+  const DataplaneResult r = runDataplane(g.tree, g.points, options);
+  EXPECT_GT(r.reorderDrops, 0);
+  EXPECT_GT(r.rehomedChildren, 0);
+  EXPECT_EQ(goldenLine(r),
+            "sent=132801 deliveries=119000 dups=0 reorderDrops=10134 "
+            "queueDrops=16998 linkLosses=4066 crashAborts=0 nacks=4818 "
+            "controlLost=0 retx=31199 evictions=0 misses=0 refetches=0 "
+            "syncs=217426 rehomed=8 overCap=0 crashed=12 peakReorder=63 "
+            "peakRetx=500 peakQueue=128 peakServes=0 events=444095 "
+            "undelivered=0 completed=1 stalled=0 latencyCount=118500 "
+            "end=403f8ab5c3d830d9 p50=402219db11f0fac1 p99=4038e3ce3e6fd017 "
+            "sum=41318158e7852902 log=648d7fbce7d4ad28 nodes=b3d479c8bad1204");
 }
 
 }  // namespace

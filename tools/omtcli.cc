@@ -36,6 +36,8 @@
 // Every command prints a short human-readable report to stdout; failures
 // (malformed files, invalid trees) exit non-zero with a message on stderr.
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -95,8 +97,23 @@ class Flags {
     return it->second;
   }
   std::int64_t getInt(const std::string& key, std::int64_t fallback) const {
+    return getIntAs<std::int64_t>(key, fallback);
+  }
+  /// Integer flag as T. Throws InvalidArgument unless the whole value
+  /// parses as an integer that T can hold.
+  template <std::integral T>
+  T getIntAs(const std::string& key, T fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    std::int64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    OMT_CHECK(ec == std::errc() && ptr == end,
+              "--" + key + " expects an integer, got '" + text + "'");
+    OMT_CHECK(std::in_range<T>(value),
+              "--" + key + " " + text + " is out of range");
+    return static_cast<T>(value);
   }
   double getDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
@@ -109,7 +126,7 @@ class Flags {
 
 int cmdGenerate(const Flags& flags) {
   const std::int64_t n = flags.getInt("n", 10000);
-  const int dim = static_cast<int>(flags.getInt("dim", 2));
+  const int dim = flags.getIntAs<int>("dim", 2);
   const std::string region = flags.get("region", "disk");
   Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 42)));
 
@@ -128,7 +145,7 @@ int cmdGenerate(const Flags& flags) {
   } else if (region == "clustered") {
     const Ball ball(Point(dim), 1.0);
     points = sampleClustered(rng, n, ball,
-                             static_cast<int>(flags.getInt("clusters", 6)),
+                             flags.getIntAs<int>("clusters", 6),
                              flags.getDouble("fraction", 0.7),
                              flags.getDouble("spread", 0.08));
     points[0] = Point(dim);
@@ -145,10 +162,10 @@ int cmdGenerate(const Flags& flags) {
 int cmdBuild(const Flags& flags) {
   const auto points = loadPointsFile(flags.require("points"));
   const std::string algo = flags.get("algo", "polar");
-  const int degree = static_cast<int>(flags.getInt("degree", 6));
+  const int degree = flags.getIntAs<int>("degree", 6);
   const NodeId source = flags.getInt("source", 0);
   // 0 = auto (OMT_THREADS or hardware); the tree is identical either way.
-  const int threads = static_cast<int>(flags.getInt("threads", 0));
+  const int threads = flags.getIntAs<int>("threads", 0);
   // Opt-in approximate kernel tier (same switch as OMT_FAST_MATH=1); the
   // tree may differ from the exact build within the tier's error bounds.
   if (flags.getInt("fast-math", 0) != 0) {
@@ -265,7 +282,7 @@ int cmdRender(const Flags& flags) {
     grid.emplace(assignment.grid);
   }
   SvgOptions options;
-  options.sizePixels = static_cast<int>(flags.getInt("size", 800));
+  options.sizePixels = flags.getIntAs<int>("size", 800);
   const std::string out = flags.require("out");
   renderSvgFile(out, points, tree ? &*tree : nullptr,
                 grid ? &*grid : nullptr, options);
@@ -284,14 +301,12 @@ int cmdChaos(const Flags& flags) {
   options.schedule.seed = deriveSeed(seed, 0x501ULL);
   options.channel.lossRate = flags.getDouble("heartbeat-loss", 0.1);
   options.channel.seed = deriveSeed(seed, 0x502ULL);
-  options.session.maxOutDegree =
-      static_cast<int>(flags.getInt("degree", 6));
+  options.session.maxOutDegree = flags.getIntAs<int>("degree", 6);
   options.settleTime = flags.getDouble("settle", 25.0);
 
   options.useRpc = flags.getInt("rpc", 1) != 0;
   options.rpc.channel.lossRate = flags.getDouble("loss", 0.3);
-  options.rpc.channel.maxAttempts =
-      static_cast<int>(flags.getInt("attempts", 4));
+  options.rpc.channel.maxAttempts = flags.getIntAs<int>("attempts", 4);
   options.rpc.channel.seed = deriveSeed(seed, 0x503ULL);
   options.disruption.duration =
       options.schedule.duration + options.settleTime;
@@ -346,8 +361,8 @@ int cmdChaos(const Flags& flags) {
 
 int cmdChurn(const Flags& flags) {
   SteadyChurnOptions options;
-  options.dim = static_cast<int>(flags.getInt("dim", 2));
-  options.session.maxOutDegree = static_cast<int>(flags.getInt("degree", 6));
+  options.dim = flags.getIntAs<int>("dim", 2);
+  options.session.maxOutDegree = flags.getIntAs<int>("degree", 6);
   options.session.incremental = flags.getInt("incremental", 1) != 0;
   options.warmupHosts = flags.getInt("warmup", 512);
   options.events = flags.getInt("events", 20000);
@@ -440,9 +455,9 @@ int cmdDataplane(const Flags& flags) {
   options.burst.burstStopProbability = flags.getDouble("burst-stop", 0.25);
   options.burst.burstLossProbability = flags.getDouble("burst-loss", 0.5);
   options.controlLoss = flags.getDouble("control-loss", 0.0);
-  options.queueCapacity = static_cast<int>(flags.getInt("queue", 128));
+  options.queueCapacity = flags.getIntAs<int>("queue", 128);
   options.retransmitBuffer = flags.getInt("retx-buffer", 4096);
-  options.maxOutDegree = static_cast<int>(flags.getInt("degree", 0));
+  options.maxOutDegree = flags.getIntAs<int>("degree", 0);
 
   // Optional crash schedule: each non-root node crashes independently with
   // probability --crash-fraction at a uniform time inside the emit window.
@@ -507,7 +522,7 @@ int cmdDataplane(const Flags& flags) {
 int cmdServe(const Flags& flags) {
   // Obtain the membership script: replay a saved trace or generate one.
   std::vector<MembershipEvent> events;
-  int dim = static_cast<int>(flags.getInt("dim", 2));
+  int dim = flags.getIntAs<int>("dim", 2);
   const std::string scriptPath = flags.get("script", "");
   if (!scriptPath.empty()) {
     events = loadMembershipScript(scriptPath, &dim);
@@ -532,8 +547,8 @@ int cmdServe(const Flags& flags) {
   }
 
   ServiceOptions service;
-  service.session.maxOutDegree = static_cast<int>(flags.getInt("degree", 6));
-  service.shards = static_cast<int>(flags.getInt("shards", 0));
+  service.session.maxOutDegree = flags.getIntAs<int>("degree", 6);
+  service.shards = flags.getIntAs<int>("shards", 0);
   service.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
   service.useRpc = flags.getInt("rpc", 0) != 0;
   service.injectDisruption = flags.getInt("disrupt", 0) != 0;
@@ -546,7 +561,7 @@ int cmdServe(const Flags& flags) {
 
   ReplayOptions replay;
   replay.batchSize = flags.getInt("batch", 1024);
-  replay.quiesceRounds = static_cast<int>(flags.getInt("quiesce-rounds", 32));
+  replay.quiesceRounds = flags.getIntAs<int>("quiesce-rounds", 32);
   const ReplayResult result = replayScript(manager, events, replay);
 
   // Per-group convergence distribution over every created group.
@@ -593,8 +608,8 @@ int cmdServe(const Flags& flags) {
   table.addRow({"inconsistent", TextTable::count(result.inconsistentGroups)});
   std::cout << table.str();
 
-  const auto top = std::min<std::size_t>(
-      static_cast<std::size_t>(flags.getInt("top", 5)), busiest.size());
+  const auto top =
+      std::min(flags.getIntAs<std::size_t>("top", 5), busiest.size());
   if (top > 0) {
     std::partial_sort(busiest.begin(), busiest.begin() + static_cast<std::ptrdiff_t>(top),
                       busiest.end(), std::greater<>());
