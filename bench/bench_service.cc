@@ -1,4 +1,4 @@
-// Extension bench: the sharded multi-group tree service (ISSUE 9/10).
+// Extension bench: the multi-group tree service.
 //
 // Generates deterministic multi-group membership scripts over a shared
 // host population and replays them through GroupManager:
@@ -15,8 +15,9 @@
 //
 // Exits non-zero when a replay fails to converge, when direct-mode
 // throughput (uniform OR skewed) falls below --min-events-per-sec (the CI
-// perf floor; 0 disables), or when the skewed workload's shard
-// utilization (max/mean load) exceeds 1.5x the uniform workload's.
+// perf floor; 0 disables), or when the skewed workload's throughput falls
+// below the uniform workload's / 1.5 (skewed group sizes must not starve
+// the workers that claim the groups).
 #include "common.h"
 #include "omt/service/replay.h"
 
@@ -39,7 +40,6 @@ struct ModeResult {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
-  double shardUtilization = 1.0;  ///< max/mean cumulative shard load
   std::int64_t deltaPublishes = 0;
 };
 
@@ -72,18 +72,6 @@ ModeResult runMode(const std::string& mode,
   result.p95 = percentileOf(latencies, 0.95);
   result.p99 = percentileOf(latencies, 0.99);
   result.deltaPublishes = manager.stats().deltaPublishes;
-  const auto loads = manager.shardLoads();
-  std::int64_t maxLoad = 0;
-  std::int64_t totalLoad = 0;
-  for (const std::int64_t load : loads) {
-    maxLoad = std::max(maxLoad, load);
-    totalLoad += load;
-  }
-  if (totalLoad > 0 && !loads.empty()) {
-    const double mean =
-        static_cast<double>(totalLoad) / static_cast<double>(loads.size());
-    result.shardUtilization = static_cast<double>(maxLoad) / mean;
-  }
   return result;
 }
 
@@ -142,12 +130,10 @@ int runBench(const Args& args) {
 
   BenchJsonWriter json(benchOutputPath("BENCH_service.json"), "service");
   TextTable table({"mode", "events/s", "groups", "publishes", "delta",
-                   "degraded", "p50 ms", "p99 ms", "shard util"});
+                   "degraded", "p50 ms", "p99 ms"});
   bool converged = true;
   double directRate = 0.0;
   double skewRate = 0.0;
-  double uniformUtil = 1.0;
-  double skewUtil = 1.0;
   for (const std::string mode : {"direct", "direct-skew", "rpc"}) {
     const bool skewed = mode == "direct-skew";
     const ModeResult r =
@@ -156,10 +142,8 @@ int runBench(const Args& args) {
     converged = converged && r.replay.converged();
     if (mode == "direct") {
       directRate = r.eventsPerSec;
-      uniformUtil = r.shardUtilization;
     } else if (skewed) {
       skewRate = r.eventsPerSec;
-      skewUtil = r.shardUtilization;
     }
     if (!r.replay.converged()) {
       std::cerr << "FAIL (" << mode << "): " << r.replay.degradedGroups
@@ -176,8 +160,7 @@ int runBench(const Args& args) {
                   TextTable::count(r.deltaPublishes),
                   TextTable::count(r.replay.degradedGroups),
                   TextTable::num(r.p50 * 1e3, 3),
-                  TextTable::num(r.p99 * 1e3, 3),
-                  TextTable::num(r.shardUtilization, 3)});
+                  TextTable::num(r.p99 * 1e3, 3)});
     json.beginRow();
     json.field("mode", mode);
     json.field("events", r.replay.events);
@@ -188,7 +171,6 @@ int runBench(const Args& args) {
     json.field("inconsistent_groups", r.replay.inconsistentGroups);
     json.field("apply_seconds", r.replay.applySeconds);
     json.field("events_per_second", r.eventsPerSec);
-    json.field("shard_utilization", r.shardUtilization);
     json.field("p50_latency_ms", r.p50 * 1e3);
     json.field("p95_latency_ms", r.p95 * 1e3);
     json.field("p99_latency_ms", r.p99 * 1e3);
@@ -225,8 +207,6 @@ int runBench(const Args& args) {
   json.topLevel("skew", skew);
   json.topLevel("direct_events_per_second", directRate);
   json.topLevel("skew_events_per_second", skewRate);
-  json.topLevel("shard_utilization_uniform", uniformUtil);
-  json.topLevel("shard_utilization_skew", skewUtil);
   json.topLevel("converged", converged ? 1.0 : 0.0);
   json.close();
   maybeWriteMetricsSnapshot(benchOutputPath("BENCH_service_metrics.json"));
@@ -246,11 +226,13 @@ int runBench(const Args& args) {
       pass = false;
     }
   }
-  // Rebalancing must keep the skewed workload's shard utilization within
-  // 1.5x of the uniform one (trivially satisfied at one shard).
-  if (skewUtil > 1.5 * uniformUtil + 1e-9) {
-    std::cerr << "FAIL: skewed shard utilization " << skewUtil
-              << " exceeds 1.5x uniform (" << uniformUtil << ")\n";
+  // Skewed group sizes put most of a batch's work in a few groups; the
+  // workers claiming them must still keep within 1.5x of the uniform
+  // workload's throughput.
+  if (skewRate * 1.5 < directRate) {
+    std::cerr << "FAIL: skewed direct-mode " << skewRate
+              << " events/s below the uniform " << directRate
+              << " events/s / 1.5\n";
     pass = false;
   }
   if (pass) std::cout << "\nSERVICE OK: all modes converged\n";

@@ -1,7 +1,9 @@
 #include "omt/parallel/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "omt/common/error.h"
 #include "omt/obs/metrics.h"
@@ -153,7 +155,9 @@ void ThreadPool::run(std::int64_t begin, std::int64_t end, int concurrency,
       job_ = &job;
       ++generation_;
     }
-    wake_.notify_all();
+    // Wake only the helpers the job has slots for. A worker that is not
+    // waiting right now checks for the new job before it sleeps again.
+    for (int helper = 1; helper < concurrency; ++helper) wake_.notify_one();
     job.work(/*slot=*/0);
     {
       // Detach the job so no further worker can register, then wait for
@@ -185,8 +189,12 @@ int defaultWorkerCount() {
 int resolveWorkers(int requested) {
   if (requested >= 1) return requested;
   if (const char* env = std::getenv("OMT_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) return parsed;
+    const char* end = env + std::strlen(env);
+    int parsed = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, parsed);
+    if (ec == std::errc() && ptr == end && parsed >= 1 &&
+        parsed <= kMaxEnvWorkers)
+      return parsed;
   }
   return defaultWorkerCount();
 }

@@ -3,9 +3,10 @@
 // The construction pipeline (omt/grid, omt/core, omt/bisection) and the
 // bench trial loops all dispatch onto one process-wide pool instead of
 // spawning threads per call (the old omt/report/parallel helper): workers
-// are created once, sleep on a condition variable between jobs, and chunks
-// of an index range are handed out through an atomic cursor (no work
-// stealing — chunks are small enough that the shared cursor balances load).
+// are created once, sleep on a condition variable between jobs (a job
+// wakes only the helpers it has slots for), and chunks of an index range
+// are handed out through an atomic cursor (no work stealing — chunks are
+// small enough that the shared cursor balances load).
 //
 // Concurrency model:
 //  * One job runs at a time. The submitting thread participates as slot 0;
@@ -89,9 +90,13 @@ ThreadPool& globalPool();
 /// the system), at least 1.
 int defaultWorkerCount();
 
+/// Largest OMT_THREADS value resolveWorkers() accepts. The pool spawns
+/// that many threads at first use, so a typo must not reserve millions.
+inline constexpr int kMaxEnvWorkers = 256;
+
 /// Resolve a requested worker count: values >= 1 pass through; 0 (auto)
-/// resolves to the OMT_THREADS environment variable when it parses to a
-/// positive integer, otherwise to defaultWorkerCount().
+/// resolves to the OMT_THREADS environment variable when the whole value
+/// is an integer in [1, kMaxEnvWorkers], otherwise to defaultWorkerCount().
 int resolveWorkers(int requested);
 
 }  // namespace omt

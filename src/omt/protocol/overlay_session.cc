@@ -48,8 +48,6 @@ OverlaySession::OverlaySession(const Point& sourcePosition,
     : options_(options),
       grid_(sourcePosition.dim(), 1, options.initialRadius) {
   OMT_CHECK(options.maxOutDegree >= 2, "out-degree cap must be at least 2");
-  OMT_CHECK(options.regridGrowthFactor > 1.0,
-            "regrid factor must exceed 1");
   OMT_CHECK(options.initialRadius > 0.0, "initial radius must be positive");
 
   Host source;
@@ -264,25 +262,15 @@ void OverlaySession::attachParked(NodeId node) {
   if (self.heapId == 0) {
     // Fresh admit (never placed under any grid): the join placement path.
     const double radius = self.polar.radius;
-    const bool outside = radius > grid_.outerRadius();
-    if (options_.incremental) {
-      if (outside && !extendRadius(radius)) {
-        // Extreme outlier beyond the ring-slack memory guard: the one
-        // remaining growth-path regrid (places everyone, including us).
-        regrid(radius * 1.5);
-        return;
-      }
-      growRingsToTarget();
-      // Unlike a regrid, the structural moves above never place the
-      // joiner itself — fall through to normal placement.
-    } else if (outside ||
-               (static_cast<double>(liveCount_) >
-                    static_cast<double>(lastRegridCount_) *
-                        options_.regridGrowthFactor &&
-                onlineTargetRings(liveCount_) != grid_.rings())) {
-      regrid(outside ? radius * 1.5 : grid_.outerRadius());
+    if (radius > grid_.outerRadius() && !extendRadius(radius)) {
+      // Extreme outlier beyond the ring-slack memory guard: the one
+      // remaining growth-path regrid (places everyone, including us).
+      regrid(radius * 1.5);
       return;
     }
+    growRingsToTarget();
+    // Unlike a regrid, the structural moves above never place the joiner
+    // itself — fall through to normal placement.
     const int ring =
         grid_.ringOf(std::min(self.polar.radius, grid_.outerRadius()));
     self.heapId = grid_.heapId(ring, grid_.cellOf(self.polar, ring));
@@ -334,7 +322,7 @@ void OverlaySession::leave(NodeId node) {
     if (hosts_[static_cast<std::size_t>(orphan)].alive) place(orphan);
   }
 
-  maybeShrinkRegrid();
+  maybeShrinkRings();
 }
 
 void OverlaySession::promoteRepresentative(std::uint64_t heapId) {
@@ -410,22 +398,13 @@ void OverlaySession::purgeDeadHost(NodeId dead, std::vector<NodeId>& orphans) {
   markChanged(dead);
 }
 
-void OverlaySession::maybeShrinkRegrid() {
-  if (options_.incremental) {
-    // Merge with a full-doubling hysteresis: a ring earned at membership n
-    // is only given back once the membership falls below n/2, so a count
-    // oscillating around a power of two cannot thrash O(n) relabellings.
-    while (grid_.rings() >= 2 &&
-           onlineTargetRings(liveCount_ * 2) < grid_.rings()) {
-      if (!mergeRings()) break;
-    }
-    return;
-  }
-  const bool shrunk =
-      static_cast<double>(liveCount_) * options_.regridGrowthFactor <
-      static_cast<double>(lastRegridCount_);
-  if (shrunk && onlineTargetRings(liveCount_) != grid_.rings()) {
-    regrid(grid_.outerRadius());
+void OverlaySession::maybeShrinkRings() {
+  // Merge with a full-doubling hysteresis: a ring earned at membership n
+  // is only given back once the membership falls below n/2, so a count
+  // oscillating around a power of two cannot thrash O(n) relabellings.
+  while (grid_.rings() >= 2 &&
+         onlineTargetRings(liveCount_ * 2) < grid_.rings()) {
+    if (!mergeRings()) break;
   }
 }
 
@@ -457,7 +436,7 @@ std::int64_t OverlaySession::detectAndRepair() {
     }
   }
 
-  maybeShrinkRegrid();
+  maybeShrinkRings();
   return static_cast<std::int64_t>(orphans.size()) + healed;
 }
 
@@ -509,7 +488,7 @@ RepairReport OverlaySession::repairCrashed(NodeId dead) {
   for (const NodeId orphan : orphans) rehomeOrphan(orphan, report);
 
   report.contacts = stats_.contactCost - contactsBefore;
-  maybeShrinkRegrid();
+  maybeShrinkRings();
   return report;
 }
 
@@ -712,7 +691,6 @@ void OverlaySession::regrid(double newRadius) {
   ++stats_.regrids;
   sessionMetrics().regrids.add();
   stats_.regridCost += liveCount_;
-  lastRegridCount_ = liveCount_;
   // A regrid rebuilds the overlay from live hosts only, which repairs any
   // pending crashes as a side effect.
   for (const NodeId dead : crashedPending_)

@@ -5,14 +5,12 @@
 // rebuilding from scratch:
 //  * The grid frame is fixed by the source position; the ring count k
 //    tracks the live membership (k ~ log2 n) and the outer radius grows
-//    geometrically when a joiner lands outside. In incremental mode (the
-//    default) both are handled by cell-local moves — splitRings() /
-//    mergeRings() relabel cells in place and extendRadius() appends outer
-//    shells without moving a single host — and a full *regrid* survives
-//    only as the watchdog's last-resort escalation. With
-//    SessionOptions::incremental = false both instead trigger a regrid,
-//    amortised O(log n) times over a session (the pre-incremental
-//    behaviour, kept for A/B comparison).
+//    geometrically when a joiner lands outside. Both are handled by
+//    cell-local moves — splitRings() / mergeRings() relabel cells in place
+//    and extendRadius() appends outer shells without moving a single
+//    host — and a full *regrid* survives only as the watchdog's
+//    last-resort escalation (forceRegrid()) and for joiners beyond the
+//    ring-slack memory guard.
 //  * A joiner computes its own (ring, cell). If the cell is empty it
 //    becomes the cell representative and attaches toward the representative
 //    of the nearest occupied *ancestor* cell (parent cell c/2 in ring i-1,
@@ -43,21 +41,12 @@ namespace omt {
 
 struct SessionOptions {
   int maxOutDegree = 6;          ///< per-host fan-out budget, >= 2
-  /// Regrid when the live count leaves [lastRegridCount / factor,
-  /// lastRegridCount * factor].
-  double regridGrowthFactor = 2.0;
-  /// Initial outer radius of the grid frame; grows (with a regrid) when a
-  /// joiner lands outside.
+  /// Initial outer radius of the grid frame; grows (by appending outer
+  /// shells) when a joiner lands outside.
   double initialRadius = 1.0;
-  /// Maintain the grid incrementally: ring-count changes become cell-local
-  /// split/merge relabellings and radius growth becomes an O(1) extend, so
-  /// a full regrid is demoted from routine maintenance to the watchdog's
-  /// last-resort escalation. `false` restores the regrid-on-every-drift
-  /// behaviour of earlier revisions (kept for A/B benchmarking).
-  bool incremental = true;
-  /// Memory guard for incremental mode: heap ids address 2^(rings+1) cell
-  /// slots, so an extend that would leave the ring count more than this
-  /// many rings above the online target falls back to a full regrid.
+  /// Memory guard: heap ids address 2^(rings+1) cell slots, so an extend
+  /// that would leave the ring count more than this many rings above the
+  /// online target falls back to a full regrid.
   int maxRingSlack = 10;
 };
 
@@ -66,8 +55,8 @@ struct SessionStats {
   std::int64_t leaves = 0;
   std::int64_t crashes = 0;
   std::int64_t regrids = 0;
-  /// Incremental structural moves (incremental mode only): ring splits
-  /// (k -> k+1, cell-local relabel), merges (k -> k-1, sibling coalesce),
+  /// Incremental structural moves: ring splits (k -> k+1, cell-local
+  /// relabel), merges (k -> k-1, sibling coalesce),
   /// radius extends (outer shells appended, no host moves), and
   /// watchdog-scoped rebuilds of individual violating cells.
   std::int64_t splits = 0;
@@ -115,7 +104,8 @@ class OverlaySession {
   OverlaySession(const Point& sourcePosition, const SessionOptions& options);
 
   /// Add a host; returns its permanent session id. O(cell size + rings)
-  /// contacts expected; may trigger a regrid. Equivalent to admit()
+  /// contacts expected; may split rings or extend the radius (a regrid
+  /// only past the ring-slack guard). Equivalent to admit()
   /// followed immediately by attachParked() — the atomic path used when no
   /// message loss can interrupt the handshake.
   NodeId join(const Point& position);
@@ -135,8 +125,8 @@ class OverlaySession {
   NodeId admit(const Point& position);
 
   /// Complete a parked host's attachment: fresh admits go through the join
-  /// placement path (and may trigger a regrid); re-parked orphans re-home
-  /// backup-first like crash repair.
+  /// placement path (and may split rings or extend the radius); re-parked
+  /// orphans re-home backup-first like crash repair.
   void attachParked(NodeId node);
 
   /// Park a live, currently-attached non-source host: detach it (children
@@ -158,7 +148,7 @@ class OverlaySession {
   void leaveSilently(NodeId node) { crash(node); }
 
   /// Remove a live non-source host; its children are re-attached. May
-  /// trigger a regrid when the membership shrinks enough.
+  /// merge rings when the membership shrinks enough.
   void leave(NodeId node);
 
   /// Crash a live non-source host SILENTLY: unlike leave(), nothing is
@@ -203,13 +193,12 @@ class OverlaySession {
            hosts_[static_cast<std::size_t>(node)].parked;
   }
 
-  /// Shrink-triggered regrid check; exposed so a driver completing a
-  /// decomposed repair can apply the same membership-halved rule as
-  /// leave()/repairCrashed(). In incremental mode this merges rings
-  /// (with a full-doubling hysteresis) instead of regridding.
-  void maybeShrinkRegrid();
+  /// Shrink check; exposed so a driver completing a decomposed repair can
+  /// apply the same membership-halved rule as leave()/repairCrashed():
+  /// merge rings, with a full-doubling hysteresis.
+  void maybeShrinkRings();
 
-  // --- Incremental grid maintenance (incremental mode) ---------------------
+  // --- Incremental grid maintenance ----------------------------------------
   // Cell-local structural moves replacing the full regrid. All three keep
   // every invariant (degree caps, acyclicity, cell-membership consistency)
   // at every intermediate step; none of them touches pending crashes or
@@ -377,8 +366,8 @@ class OverlaySession {
   /// re-place every host. The only global operation.
   void regrid(double newRadius);
 
-  /// Split until the ring count reaches the online target (incremental
-  /// growth path; no-op in non-incremental mode).
+  /// Split until the ring count reaches the online target (the growth
+  /// path of every join).
   void growRingsToTarget();
 
   /// Detach + re-place one attached live host (its subtree rides along,
@@ -396,7 +385,6 @@ class OverlaySession {
   std::vector<std::vector<NodeId>> cellMembers_;  // by heap id
   std::vector<NodeId> cellRep_;                   // by heap id
   std::int64_t liveCount_ = 1;
-  std::int64_t lastRegridCount_ = 1;
   std::int64_t undetectedCrashes_ = 0;
   std::int64_t parkedCount_ = 0;
   bool shedOptionalWork_ = false;

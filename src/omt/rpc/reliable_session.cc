@@ -168,9 +168,9 @@ ReliableSessionDriver::RepairDrive ReliableSessionDriver::driveRepair(
     }
   }
   drive.result.completed = !drive.result.degraded;
-  // The shrink-regrid check rides on the completed repair, mirroring the
+  // The ring-shrink check rides on the completed repair, mirroring the
   // atomic repairCrashed() path.
-  session_.maybeShrinkRegrid();
+  session_.maybeShrinkRings();
   return drive;
 }
 
@@ -254,7 +254,7 @@ ReliableSessionDriver::AuditSweep ReliableSessionDriver::runAudit(
       sweep.attached.push_back(orphan);
   }
 
-  session_.maybeShrinkRegrid();
+  session_.maybeShrinkRings();
   stats_.auditReattaches += sweep.reattached;
   stats_.auditRepairs += sweep.repairsRedriven;
   stats_.auditConfirmedOps += sweep.confirmed;

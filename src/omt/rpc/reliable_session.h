@@ -14,7 +14,7 @@
 //   repair   = a PURGE announcement (reporter -> source), then one ATTACH
 //              handshake per orphaned subtree root. A failed announcement
 //              leaves the corpse flagged (pendingCrash); failed orphan
-//              attaches leave the orphans parked. The shrink-regrid check
+//              attaches leave the orphans parked. The ring-shrink check
 //              rides on the completed repair, mirroring repairCrashed().
 //   migrate  = park (the goodbye rides the detach) + an ATTACH handshake.
 //

@@ -7,7 +7,7 @@
 
 #include "omt/common/error.h"
 #include "omt/obs/metrics.h"
-#include "omt/parallel/parallel_for.h"
+#include "omt/parallel/thread_pool.h"
 #include "omt/random/rng.h"
 #include "omt/rpc/reliable_session.h"
 
@@ -31,14 +31,6 @@ struct ServiceMetrics {
   obs::Counter& audits;
   obs::Gauge& groups;
   obs::Histogram& eventToRoute;
-  // Shard load/steal metrics. The shard count resolves from the
-  // environment (OMT_THREADS / --shards), so everything here is
-  // placement-dependent and registered nondeterministic — unlike the
-  // per-event counters above, which are invariant to it.
-  obs::Counter& shardRebalances;
-  obs::Counter& shardMigrations;
-  obs::Gauge& shardLoadMax;
-  obs::Gauge& shardLoadMin;
 };
 
 ServiceMetrics& serviceMetrics() {
@@ -54,15 +46,7 @@ ServiceMetrics& serviceMetrics() {
       registry.counter("omt_service_audits_total"),
       registry.gauge("omt_service_groups"),
       registry.histogram("omt_service_event_to_route_seconds", {},
-                         obs::Determinism::kNondeterministic),
-      registry.counter("omt_service_shard_rebalances_total",
-                       obs::Determinism::kNondeterministic),
-      registry.counter("omt_service_shard_migrations_total",
-                       obs::Determinism::kNondeterministic),
-      registry.gauge("omt_service_shard_load_max",
-                     obs::Determinism::kNondeterministic),
-      registry.gauge("omt_service_shard_load_min",
-                     obs::Determinism::kNondeterministic)};
+                         obs::Determinism::kNondeterministic)};
   return metrics;
 }
 
@@ -72,8 +56,8 @@ double wallNow() {
       .count();
 }
 
-/// One batched add per counter per shard pass instead of an atomic RMW
-/// per event — the global registry counters are far too hot to touch
+/// One batched add per counter per batch instead of an atomic RMW per
+/// event — the global registry counters are far too hot to touch
 /// from the per-event path.
 void flushStatsMetrics(const ServiceStats& s) {
   auto& m = serviceMetrics();
@@ -87,9 +71,24 @@ void flushStatsMetrics(const ServiceStats& s) {
   if (s.audits) m.audits.add(s.audits);
 }
 
+/// Adds one pass's counters into `into` (groupsCreated and migrations are
+/// not per-pass figures).
+void addPassStats(ServiceStats& into, const ServiceStats& from) {
+  into.events += from.events;
+  into.joins += from.joins;
+  into.leaves += from.leaves;
+  into.crashes += from.crashes;
+  into.publishes += from.publishes;
+  into.deltaPublishes += from.deltaPublishes;
+  into.teardowns += from.teardowns;
+  into.audits += from.audits;
+  into.parkedJoins += from.parkedJoins;
+}
+
 }  // namespace
 
-/// Builder-side state of one live group; owned by the group's shard.
+/// Builder-side state of one live group; touched only by the worker that
+/// claimed the group's run (or by the writer thread between batches).
 struct GroupManager::GroupState {
   explicit GroupState(const Point& origin, const SessionOptions& options)
       : session(origin, options) {
@@ -148,8 +147,8 @@ class GroupManager::SnapshotPtr {
 };
 
 /// One group's reader/builder rendezvous. The snapshot table pointer is
-/// the ONLY field readers touch; everything else belongs to the owning
-/// shard.
+/// the ONLY field readers touch; everything else belongs to the worker
+/// running the group's run.
 struct GroupManager::GroupSlot {
   SnapshotPtr table;
   std::unique_ptr<GroupState> state;  ///< null until created / after teardown
@@ -162,31 +161,42 @@ struct GroupManager::GroupSlot {
   /// in-place reuse (slab + control block) once every reader has dropped
   /// it — the last allocation on the steady-state publish path.
   std::shared_ptr<const RouteTable> spare;
-  std::int64_t cost = 1;  ///< rebalance weight: last published size + 1
   double publishStamp = 0.0;  ///< wall clock of last publish (measureLatency)
-  int shard = 0;          ///< owning shard (writer thread re-assigns)
   bool created = false;
-  bool dirty = false;  ///< touched since last publish (owning shard only)
+  bool dirty = false;  ///< touched since last publish
   /// The session's change journal restarted (state freshly created), so
   /// the next publish cannot trust a delta against lastTable.
   bool needsFullPublish = true;
 };
 
-/// Deterministic per-shard accumulator, merged in shard order.
-struct GroupManager::ShardReport {
+/// One worker slot's tally for one batch or quiesce pass. Integer sums
+/// only, so the merged total does not depend on which slot ran what.
+struct GroupManager::WorkerReport {
   ServiceStats stats;
   std::int64_t load = 0;  ///< work units this pass (events + published hosts)
+  std::int64_t degraded = 0;  ///< groups quiesce() left degraded
+};
+
+/// One touched group's share of a batch: order_[begin, end) holds that
+/// group's events in batch order.
+struct GroupManager::Run {
+  std::int64_t weight = 0;  ///< this batch's events + last published size
+  GroupId group = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
 
 GroupManager::GroupManager(const ServiceOptions& options)
-    : options_(options), shards_(resolveWorkers(options.shards)) {
+    : options_(options), workers_(resolveWorkers(options.shards)) {
   OMT_CHECK(options_.maxGroups >= 1, "need a positive group-id space");
   OMT_CHECK(options_.auditPeriod > 0.0, "audit period must be positive");
   OMT_CHECK(options_.deltaMaxFraction >= 0.0,
             "delta fraction must be non-negative");
-  shardLoad_.assign(static_cast<std::size_t>(shards_), 0);
-  eventScratch_.resize(static_cast<std::size_t>(shards_));
-  groupScratch_.resize(static_cast<std::size_t>(shards_));
+  // A single worker never touches the pool; more are capped by the slots
+  // the pool can actually run, which also bounds the per-slot arrays.
+  if (workers_ > 1) workers_ = std::min(workers_, globalPool().capacity());
+  workerLoad_.assign(static_cast<std::size_t>(workers_), 0);
+  reports_.resize(static_cast<std::size_t>(workers_));
   pageCount_ = (options_.maxGroups + kPageSize - 1) / kPageSize;
   pages_ = std::make_unique<std::atomic<GroupSlot*>[]>(
       static_cast<std::size_t>(pageCount_));
@@ -222,7 +232,6 @@ GroupManager::GroupSlot& GroupManager::ensureSlot(GroupId group) {
   GroupSlot& slot = page[group & (kPageSize - 1)];
   if (!slot.created) {
     slot.created = true;
-    slot.shard = static_cast<int>(group % shards_);
     createdGroups_.push_back(group);
   }
   return slot;
@@ -264,7 +273,7 @@ void GroupManager::createState(GroupSlot& slot, GroupId group, int dim) {
 }
 
 void GroupManager::applyEvent(GroupSlot& slot, const MembershipEvent& event,
-                              ShardReport& report) {
+                              WorkerReport& report) {
   if (!slot.state) {
     OMT_CHECK(event.kind == ServiceEventKind::kJoin,
               "group " + std::to_string(event.group) +
@@ -347,7 +356,7 @@ void GroupManager::applyEvent(GroupSlot& slot, const MembershipEvent& event,
   maybeTearDown(slot, report);
 }
 
-void GroupManager::maybeTearDown(GroupSlot& slot, ShardReport& report) {
+void GroupManager::maybeTearDown(GroupSlot& slot, WorkerReport& report) {
   GroupState* state = slot.state.get();
   if (!state || !state->nodeOf.empty()) return;
   // Only a fully clean group tears down: nothing parked, no unrepaired
@@ -364,7 +373,7 @@ void GroupManager::maybeTearDown(GroupSlot& slot, ShardReport& report) {
 }
 
 void GroupManager::publish(GroupSlot& slot, GroupId group,
-                           ShardReport& report) {
+                           WorkerReport& report) {
   std::shared_ptr<const RouteTable> table;
   bool viaDelta = false;
   if (slot.state) {
@@ -403,8 +412,7 @@ void GroupManager::publish(GroupSlot& slot, GroupId group,
   } else {
     table = std::make_shared<const RouteTable>(group, ++slot.epoch);
   }
-  slot.cost = table->size() + 1;
-  report.load += slot.cost;
+  report.load += table->size() + 1;
   slot.stats.lastFingerprint = table->fingerprint();
   ++slot.stats.publishes;
   if (viaDelta) {
@@ -421,116 +429,76 @@ void GroupManager::publish(GroupSlot& slot, GroupId group,
   if (options_.measureLatency) slot.publishStamp = wallNow();
 }
 
-void GroupManager::rebalance() {
-  if (!options_.rebalanceShards || shards_ <= 1 || createdGroups_.empty())
-    return;
-  // Deterministic LPT from published sizes: heaviest groups first (ties by
-  // ascending group id) onto the least-loaded shard so far (ties by lowest
-  // shard). Group outcomes are placement-invariant — the differential
-  // oracle's guarantee — so moving ownership is free of correctness risk.
-  costScratch_.clear();
-  for (const GroupId group : createdGroups_)
-    costScratch_.emplace_back(slotFor(group)->cost, group);
-  std::sort(costScratch_.begin(), costScratch_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  loadScratch_.assign(static_cast<std::size_t>(shards_), 0);
-  std::int64_t migrations = 0;
-  for (const auto& [cost, group] : costScratch_) {
-    int target = 0;
-    for (int s = 1; s < shards_; ++s) {
-      if (loadScratch_[static_cast<std::size_t>(s)] <
-          loadScratch_[static_cast<std::size_t>(target)])
-        target = s;
-    }
-    loadScratch_[static_cast<std::size_t>(target)] += cost;
-    GroupSlot& slot = *slotFor(group);
-    if (slot.shard != target) {
-      slot.shard = target;
-      ++migrations;
-    }
+GroupManager::WorkerReport GroupManager::claimEach(
+    std::int64_t count,
+    const std::function<void(std::int64_t, WorkerReport&)>& fn) {
+  reports_.assign(reports_.size(), WorkerReport{});
+  if (workers_ == 1) {
+    for (std::int64_t i = 0; i < count; ++i) fn(i, reports_[0]);
+  } else {
+    // One index per claim: a chunk of several would hand the heaviest
+    // runs at the front of the order to a single worker.
+    globalPool().run(0, count, workers_, /*chunk=*/1,
+                     [&](std::int64_t i, std::int64_t, int slot) {
+                       fn(i, reports_[static_cast<std::size_t>(slot)]);
+                     });
   }
-  ++stats_.rebalances;
-  stats_.migrations += migrations;
-  serviceMetrics().shardRebalances.add();
-  serviceMetrics().shardMigrations.add(migrations);
-}
-
-void GroupManager::accumulateShardLoads(
-    std::span<const ShardReport> reports) {
-  for (std::size_t s = 0; s < reports.size(); ++s)
-    shardLoad_[s] += reports[s].load;
-  std::int64_t lo = shardLoad_.empty() ? 0 : shardLoad_[0];
-  std::int64_t hi = lo;
-  for (const std::int64_t load : shardLoad_) {
-    lo = std::min(lo, load);
-    hi = std::max(hi, load);
+  WorkerReport total;
+  for (std::size_t w = 0; w < reports_.size(); ++w) {
+    addPassStats(total.stats, reports_[w].stats);
+    total.degraded += reports_[w].degraded;
+    workerLoad_[w] += reports_[w].load;
   }
-  serviceMetrics().shardLoadMax.set(static_cast<double>(hi));
-  serviceMetrics().shardLoadMin.set(static_cast<double>(lo));
-}
-
-int GroupManager::shardOf(GroupId group) const {
-  const GroupSlot* slot = slotFor(group);
-  return slot && slot->created ? slot->shard : -1;
+  addPassStats(stats_, total.stats);
+  flushStatsMetrics(total.stats);
+  serviceMetrics().groups.set(static_cast<double>(liveGroupCount()));
+  return total;
 }
 
 ApplyReport GroupManager::apply(std::span<const MembershipEvent> events) {
   const double arrival = options_.measureLatency ? wallNow() : 0.0;
-  // Batch boundary: re-balance ownership from last batch's published
-  // sizes, then partition. Doing both on the writer thread keeps the
-  // parallel phase free of any structural mutation a concurrent reader
-  // could race with (slot/page creation happens here too).
-  rebalance();
-  std::vector<std::vector<std::int64_t>>& perShard = eventScratch_;
-  std::vector<ShardReport> reports(static_cast<std::size_t>(shards_));
-  for (auto& shard : perShard) shard.clear();
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(events.size()); ++i) {
-    const GroupSlot& slot = ensureSlot(events[static_cast<std::size_t>(i)].group);
-    perShard[static_cast<std::size_t>(slot.shard)].push_back(i);
+  // Serial pre-pass on the writer thread, so the parallel phase makes no
+  // structural change a concurrent reader could race with: install every
+  // slot, then group the batch into one run per touched group. Sorting
+  // (group, event index) pairs lays each group's events out contiguously
+  // and in batch order.
+  order_.clear();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ensureSlot(events[i].group);
+    order_.emplace_back(events[i].group, i);
   }
-
-  // groupScratch_ doubles as the per-shard touched list here; apply() and
-  // quiesce() never overlap (single writer), so the reuse is safe.
-  std::vector<std::vector<GroupId>>& touched = groupScratch_;
-  for (auto& shard : touched) shard.clear();
-  parallelFor(0, shards_, shards_, [&](std::int64_t shard) {
-    ShardReport& report = reports[static_cast<std::size_t>(shard)];
-    std::vector<GroupId>& mine = touched[static_cast<std::size_t>(shard)];
-    for (const std::int64_t i : perShard[static_cast<std::size_t>(shard)]) {
-      const MembershipEvent& event = events[static_cast<std::size_t>(i)];
-      GroupSlot& slot = *slotFor(event.group);
-      if (!slot.dirty) mine.push_back(event.group);
-      applyEvent(slot, event, report);
-    }
-    for (const GroupId group : mine) {
-      GroupSlot& slot = *slotFor(group);
-      if (slot.dirty) publish(slot, group, report);
-    }
+  std::sort(order_.begin(), order_.end());
+  runs_.clear();
+  for (std::size_t begin = 0, end = 0; begin < order_.size(); begin = end) {
+    const GroupId group = order_[begin].first;
+    while (end < order_.size() && order_[end].first == group) ++end;
+    const GroupSlot& slot = *slotFor(group);
+    const std::int64_t size = slot.lastTable ? slot.lastTable->size() : 0;
+    runs_.push_back({static_cast<std::int64_t>(end - begin) + size, group,
+                     begin, end});
+  }
+  // Heaviest first (ties by group id), so the long runs start early and
+  // the short ones fill in around them.
+  std::sort(runs_.begin(), runs_.end(), [](const Run& a, const Run& b) {
+    return a.weight != b.weight ? a.weight > b.weight : a.group < b.group;
   });
+
+  const WorkerReport total = claimEach(
+      static_cast<std::int64_t>(runs_.size()),
+      [&](std::int64_t r, WorkerReport& report) {
+        const Run& run = runs_[static_cast<std::size_t>(r)];
+        GroupSlot& slot = *slotFor(run.group);
+        for (std::size_t k = run.begin; k < run.end; ++k)
+          applyEvent(slot, events[order_[k].second], report);
+        publish(slot, run.group, report);
+      });
 
   ApplyReport result;
   result.events = static_cast<std::int64_t>(events.size());
-  for (const ShardReport& report : reports) {
-    stats_.events += report.stats.events;
-    stats_.joins += report.stats.joins;
-    stats_.leaves += report.stats.leaves;
-    stats_.crashes += report.stats.crashes;
-    stats_.publishes += report.stats.publishes;
-    stats_.deltaPublishes += report.stats.deltaPublishes;
-    stats_.teardowns += report.stats.teardowns;
-    stats_.audits += report.stats.audits;
-    stats_.parkedJoins += report.stats.parkedJoins;
-    result.groupsTouched += report.stats.publishes;
-    result.publishes += report.stats.publishes;
-    result.deltaPublishes += report.stats.deltaPublishes;
-    flushStatsMetrics(report.stats);
-  }
-  accumulateShardLoads(reports);
+  result.groupsTouched = total.stats.publishes;
+  result.publishes = total.stats.publishes;
+  result.deltaPublishes = total.stats.deltaPublishes;
   stats_.groupsCreated = static_cast<std::int64_t>(createdGroups_.size());
-  serviceMetrics().groups.set(static_cast<double>(liveGroupCount()));
   if (options_.measureLatency) {
     // Every event's group publishes by the end of its batch, so the
     // latency is just that slot's stamp minus batch ingress — no
@@ -549,7 +517,7 @@ ApplyReport GroupManager::apply(std::span<const MembershipEvent> events) {
 }
 
 bool GroupManager::quiesceGroup(GroupSlot& slot, GroupId group, double now,
-                                int maxRounds, ShardReport& report) {
+                                int maxRounds, WorkerReport& report) {
   GroupState* state = slot.state.get();
   if (!state) return true;
   auto degraded = [&]() {
@@ -574,35 +542,15 @@ bool GroupManager::quiesceGroup(GroupSlot& slot, GroupId group, double now,
 }
 
 std::int64_t GroupManager::quiesce(double now, int maxRounds) {
-  rebalance();
-  std::vector<std::vector<GroupId>>& perShard = groupScratch_;
-  for (auto& shard : perShard) shard.clear();
-  for (const GroupId group : createdGroups_)
-    perShard[static_cast<std::size_t>(slotFor(group)->shard)].push_back(group);
-  std::vector<ShardReport> reports(static_cast<std::size_t>(shards_));
-  std::vector<std::int64_t> stillDegraded(static_cast<std::size_t>(shards_),
-                                          0);
-  parallelFor(0, shards_, shards_, [&](std::int64_t shard) {
-    ShardReport& report = reports[static_cast<std::size_t>(shard)];
-    for (const GroupId group : perShard[static_cast<std::size_t>(shard)]) {
-      GroupSlot& slot = *slotFor(group);
-      if (!quiesceGroup(slot, group, now, maxRounds, report))
-        ++stillDegraded[static_cast<std::size_t>(shard)];
-    }
-  });
-  std::int64_t degraded = 0;
-  for (std::int64_t shard = 0; shard < shards_; ++shard) {
-    const ShardReport& report = reports[static_cast<std::size_t>(shard)];
-    stats_.publishes += report.stats.publishes;
-    stats_.deltaPublishes += report.stats.deltaPublishes;
-    stats_.teardowns += report.stats.teardowns;
-    stats_.audits += report.stats.audits;
-    degraded += stillDegraded[static_cast<std::size_t>(shard)];
-    flushStatsMetrics(report.stats);
-  }
-  accumulateShardLoads(reports);
-  serviceMetrics().groups.set(static_cast<double>(liveGroupCount()));
-  return degraded;
+  return claimEach(static_cast<std::int64_t>(createdGroups_.size()),
+                   [&](std::int64_t i, WorkerReport& report) {
+                     const GroupId group =
+                         createdGroups_[static_cast<std::size_t>(i)];
+                     if (!quiesceGroup(*slotFor(group), group, now,
+                                       maxRounds, report))
+                       ++report.degraded;
+                   })
+      .degraded;
 }
 
 std::shared_ptr<const RouteTable> GroupManager::routes(GroupId group) const {

@@ -1,13 +1,16 @@
-// Sharded multi-group tree service: thousands of concurrent multicast
-// groups over a shared host population, each group an incrementally
-// maintained OverlaySession, with non-blocking route snapshots for readers.
+// Multi-group tree service: thousands of concurrent multicast groups over
+// a shared host population, each group an incrementally maintained
+// OverlaySession, with non-blocking route snapshots for readers.
 //
 // Write path (one thread at a time): apply() ingests a batch of
-// group-tagged membership events, partitions it by shard
-// (shard = group % shards, preserving per-group event order), and fans the
-// shards out over the PR 2 thread pool. A group is owned by exactly one
-// shard, so builders never contend; after a shard drains its events it
-// republishes a fresh immutable RouteTable for every group it touched.
+// group-tagged membership events. A serial pre-pass installs the batch's
+// group slots and groups the batch into one *run* per touched group (that
+// group's events, in batch order), heaviest first. The runs then go out
+// as one job on the shared thread pool: each free worker claims the next
+// run, applies its events and republishes a fresh immutable RouteTable
+// for that group. A group's run is claimed by exactly one worker, so
+// builders never contend, and no group is owned by any worker between
+// batches.
 //
 // Read path (any number of threads, any time): each group slot holds an
 // atomic snapshot pointer (a shared_ptr swapped under a per-slot
@@ -23,9 +26,9 @@
 //
 // Determinism contract: a group's final tree, fingerprint, and epoch
 // depend only on its own event subsequence (and the per-group derived
-// seeds in RPC mode) — never on the shard count, OMT_THREADS, or what
-// other groups are doing. The differential-oracle and chaos gates assert
-// exactly this.
+// seeds in RPC mode) — never on the worker count, OMT_THREADS, which
+// worker ran the group, or what other groups are doing. The
+// differential-oracle and chaos gates assert exactly this.
 //
 // Transport: by default events apply as atomic session calls. With
 // ServiceOptions::useRpc each group drives its joins/leaves/repairs
@@ -36,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -52,8 +56,10 @@ namespace omt {
 struct ServiceOptions {
   /// Per-group overlay options (incremental maintenance is the default).
   SessionOptions session;
-  /// Builder shards; groups are owned by shard group % shards. 0 resolves
-  /// like every other worker count (OMT_THREADS, then hardware).
+  /// Builder workers: how many pool slots claim a batch's group runs.
+  /// Placement is free (any worker may run any group), so the count only
+  /// moves cost. 0 resolves like every other worker count (OMT_THREADS,
+  /// then hardware).
   int shards = 0;
   /// Group-id space; slots are paged in lazily, so a sparse id space only
   /// costs one page-table entry per 1024 ids.
@@ -93,12 +99,6 @@ struct ServiceOptions {
   /// assert the two tables identical (arrays, fingerprint, epoch). Debug /
   /// differential-test only — it defeats the point of the delta path.
   bool deltaVerify = false;
-
-  /// Re-assign group -> shard ownership at batch boundaries from published
-  /// per-group sizes (deterministic LPT, heaviest groups first). Group
-  /// outcomes (tables, epochs, fingerprints) are placement-invariant, so
-  /// migration is purely a load-balance move. Off: static group % shards.
-  bool rebalanceShards = true;
 };
 
 /// Cumulative per-group accounting; survives group teardown/re-creation.
@@ -125,8 +125,9 @@ struct ServiceStats {
   std::int64_t groupsCreated = 0;
   std::int64_t audits = 0;        ///< anti-entropy sweeps (RPC mode)
   std::int64_t parkedJoins = 0;   ///< joins left parked by a drive (RPC mode)
-  std::int64_t rebalances = 0;    ///< shard-rebalance passes run
-  std::int64_t migrations = 0;    ///< groups that changed owning shard
+  /// Always 0: groups have no owning worker to migrate between. Kept for
+  /// readers of the former shard-ownership figure.
+  std::int64_t migrations = 0;
 };
 
 struct ApplyReport {
@@ -150,9 +151,11 @@ class GroupManager {
   /// Ingest one batch. Single writer: apply()/quiesce() must not run
   /// concurrently with each other (readers are always safe). Events for
   /// one group apply in batch order; every touched group republishes
-  /// exactly once at the end of the batch. Malformed events (leave of a
-  /// non-member, join of a member, group id out of range) throw
-  /// InvalidArgument; shards already processed stay applied.
+  /// exactly once, right after its last event of the batch. Malformed
+  /// events (leave of a non-member, join of a member, group id out of
+  /// range) throw InvalidArgument. Events applied before the throw stay
+  /// applied; a group they left unpublished publishes with the next batch
+  /// that touches it, or at quiesce().
   ApplyReport apply(std::span<const MembershipEvent> events);
 
   /// Drain degraded states (RPC mode: re-drive parked attaches and
@@ -191,39 +194,43 @@ class GroupManager {
   GroupStats groupStats(GroupId group) const;
   const ServiceStats& stats() const { return stats_; }
   const ServiceOptions& options() const { return options_; }
-  int shards() const { return shards_; }
+  /// Builder workers a batch can actually use: the resolved
+  /// ServiceOptions::shards, capped by the pool's capacity.
+  int shards() const { return workers_; }
   /// Group ids in creation order (deterministic).
   std::span<const GroupId> createdGroups() const { return createdGroups_; }
-  /// Cumulative work units per shard (events applied + hosts published) —
-  /// the load-balance signal the bench's utilization check reads.
-  std::span<const std::int64_t> shardLoads() const { return shardLoad_; }
-  /// The shard currently owning `group` (-1 when the group was never seen).
-  int shardOf(GroupId group) const;
+  /// Cumulative work units (events applied + hosts published) run by each
+  /// worker slot, one entry per slot in [0, shards()). Which slot claims a
+  /// run is a scheduling race, so only the sum is deterministic.
+  std::span<const std::int64_t> shardLoads() const { return workerLoad_; }
 
  private:
   class SnapshotPtr;
   struct GroupState;
   struct GroupSlot;
-  struct ShardReport;
+  struct WorkerReport;
+  struct Run;
 
   GroupSlot* slotFor(GroupId group) const;  ///< null until ensureSlot
   GroupSlot& ensureSlot(GroupId group);     ///< writer-only
   void applyEvent(GroupSlot& slot, const MembershipEvent& event,
-                  ShardReport& report);
+                  WorkerReport& report);
   void createState(GroupSlot& slot, GroupId group, int dim);
-  void maybeTearDown(GroupSlot& slot, ShardReport& report);
-  void publish(GroupSlot& slot, GroupId group, ShardReport& report);
+  void maybeTearDown(GroupSlot& slot, WorkerReport& report);
+  void publish(GroupSlot& slot, GroupId group, WorkerReport& report);
   /// One quiesce pass over a group; true when nothing is left degraded.
   bool quiesceGroup(GroupSlot& slot, GroupId group, double now,
-                    int maxRounds, ShardReport& report);
-  /// Deterministic cost-driven LPT re-assignment of groups to shards
-  /// (writer thread, batch boundary). No-op unless rebalanceShards.
-  void rebalance();
-  /// Merge per-shard load tallies and refresh the shard gauges.
-  void accumulateShardLoads(std::span<const ShardReport> reports);
+                    int maxRounds, WorkerReport& report);
+  /// Run fn(i, report) for every i in [0, count), claimed one index at a
+  /// time by whichever worker slot is free; `report` is that slot's
+  /// tally. Returns the tallies summed (integer sums, so the total is the
+  /// same for any worker count) after folding them into stats_.
+  WorkerReport claimEach(
+      std::int64_t count,
+      const std::function<void(std::int64_t, WorkerReport&)>& fn);
 
   ServiceOptions options_;
-  int shards_ = 1;
+  int workers_ = 1;
   std::int64_t pageCount_ = 0;
   /// Page table: pageCount_ atomic page pointers, pages of kPageSize
   /// slots. Pages are only ever installed (never freed before ~), so a
@@ -231,13 +238,12 @@ class GroupManager {
   std::unique_ptr<std::atomic<GroupSlot*>[]> pages_;
   std::vector<GroupId> createdGroups_;
   ServiceStats stats_;
-  std::vector<std::int64_t> shardLoad_;  ///< cumulative, by shard
-  // Writer-side scratch reused across apply()/quiesce() calls so the
-  // steady-state batch path stops re-allocating its partition buffers.
-  std::vector<std::vector<std::int64_t>> eventScratch_;
-  std::vector<std::vector<GroupId>> groupScratch_;
-  std::vector<std::pair<std::int64_t, GroupId>> costScratch_;
-  std::vector<std::int64_t> loadScratch_;
+  std::vector<std::int64_t> workerLoad_;  ///< cumulative, by worker slot
+  // Writer-side scratch reused across batches, so the steady-state batch
+  // path does not re-allocate them.
+  std::vector<std::pair<GroupId, std::size_t>> order_;  ///< (group, event)
+  std::vector<Run> runs_;
+  std::vector<WorkerReport> reports_;  ///< by worker slot
 };
 
 }  // namespace omt

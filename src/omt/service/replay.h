@@ -50,10 +50,10 @@ ReplayResult replayScript(GroupManager& manager,
                           std::span<const MembershipEvent> events,
                           const ReplayOptions& options = {});
 
-/// Order-independent-of-shard-count fingerprint of the whole service:
-/// mixes every created group's (id, table fingerprint) in ascending group
-/// order. Equal populations with equal trees hash equal for any shard
-/// count or OMT_THREADS — the chaos gate's determinism check.
+/// Worker-count-independent fingerprint of the whole service: mixes every
+/// created group's (id, table fingerprint) in ascending group order. Equal
+/// populations with equal trees hash equal for any worker count or
+/// OMT_THREADS — the chaos gate's determinism check.
 std::uint64_t serviceFingerprint(const GroupManager& manager);
 
 }  // namespace omt

@@ -86,6 +86,12 @@ std::shared_ptr<RouteTable> RouteTable::makeShell(
     // last reader's release-decrement of the refcount, ordering its reads
     // of the table before our in-place overwrite.
     std::atomic_thread_fence(std::memory_order_acquire);
+#if defined(__SANITIZE_THREAD__)
+    // ThreadSanitizer does not model fences. Taking and dropping a second
+    // reference is an acquire-release read-modify-write of the same count,
+    // which it does model.
+    { const std::shared_ptr<const RouteTable> bump = recycle; }
+#endif
     auto shell = std::const_pointer_cast<RouteTable>(std::move(recycle));
     shell->group_ = group;
     shell->epoch_ = epoch;

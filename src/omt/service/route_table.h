@@ -149,7 +149,7 @@ class RouteTable {
 
   /// Structure hash over the sorted (host, parent) pairs; equal tables
   /// (same members, same edges) hash equal regardless of epoch or the
-  /// worker/shard count that built them.
+  /// worker count that built them.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Structural audit: parent/child symmetry, acyclicity, every member

@@ -49,7 +49,7 @@ struct ScriptOptions {
   /// the population mean stays meanGroupSize (and capped at hosts/2, so a
   /// hot group cannot exhaust the population). 0 = every group targets the
   /// mean (the uniform workload); 1.0 is the classic heavy-head shape that
-  /// the shard-rebalance gates stress.
+  /// the skewed service benchmarks stress.
   double sizeSkew = 0.0;
   /// Fraction of departures that are silent crashes instead of leaves.
   double crashFraction = 0.3;

@@ -30,12 +30,20 @@ run(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --loss 0.01
 run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --queue 4294967424)
 run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --degree 4294967296)
 run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --queue 12abc)
+# Floating-point flags too: trailing garbage must not run as loss 0.01, and
+# an overflowing or non-finite value is a typed error, not "error: stod".
+run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --loss 0.01abc)
+run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --loss 1e400)
+run_rejected(${OMTCLI} dataplane --points ${pts} --tree ${tree} --packets 200 --loss nan)
 run(${OMTCLI} render --points ${pts} --tree ${tree} --grid 1 --out ${svg})
 
 # Multi-group service: generate + save the membership script, then replay
-# the saved artifact through a differently-sharded service; both runs must
+# the saved artifact with a different worker count; both runs must
 # converge (exit 0) on the same deterministic script.
 set(script ${WORKDIR}/cli_service_script.txt)
 run(${OMTCLI} serve --groups 40 --hosts 800 --events 8000 --seed 11
     --shards 2 --save-script ${script})
 run(${OMTCLI} serve --script ${script} --shards 1 --rpc 1)
+# A huge worker request is capped by the pool's capacity; it must not size
+# per-worker state by the request.
+run(${OMTCLI} serve --script ${script} --shards 2147483647)

@@ -148,6 +148,15 @@ TEST(ThreadPoolTest, ResolveWorkersReadsEnvironment) {
   EXPECT_EQ(resolveWorkers(0), defaultWorkerCount());
   ::setenv("OMT_THREADS", "-4", 1);
   EXPECT_EQ(resolveWorkers(0), defaultWorkerCount());
+  // The whole value must parse, fit an int and stay within the cap.
+  ::setenv("OMT_THREADS", "2abc", 1);
+  EXPECT_EQ(resolveWorkers(0), defaultWorkerCount());
+  ::setenv("OMT_THREADS", "4294967298", 1);  // 2^32 + 2 must not wrap to 2
+  EXPECT_EQ(resolveWorkers(0), defaultWorkerCount());
+  ::setenv("OMT_THREADS", "2147483647", 1);
+  EXPECT_EQ(resolveWorkers(0), defaultWorkerCount());
+  ::setenv("OMT_THREADS", std::to_string(kMaxEnvWorkers).c_str(), 1);
+  EXPECT_EQ(resolveWorkers(0), kMaxEnvWorkers);
   if (saved) {
     ::setenv("OMT_THREADS", savedValue.c_str(), 1);
   } else {

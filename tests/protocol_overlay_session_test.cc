@@ -17,14 +17,6 @@ SessionOptions degree(int d) {
   return options;
 }
 
-/// Legacy full-regrid maintenance (incremental mode off), for the tests
-/// that assert the regrid-driven behaviors specifically.
-SessionOptions legacyDegree(int d) {
-  SessionOptions options = degree(d);
-  options.incremental = false;
-  return options;
-}
-
 /// Validates the snapshot tree and returns its metrics.
 TreeMetrics check(const OverlaySession& session, int maxDegree) {
   const SessionSnapshot snap = session.snapshot();
@@ -62,17 +54,8 @@ TEST(OverlaySessionTest, DegreeTwoSession) {
   EXPECT_EQ(m.maxOutDegree, 2);
 }
 
-TEST(OverlaySessionTest, JoinOutsideRadiusTriggersRegrid) {
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
-  session.join(Point{0.5, 0.0});
-  const auto before = session.stats().regrids;
-  session.join(Point{10.0, 0.0});  // far outside initialRadius = 1
-  EXPECT_GT(session.stats().regrids, before);
-  check(session, 6);
-}
-
 TEST(OverlaySessionTest, JoinOutsideRadiusExtendsIncrementally) {
-  // Incremental mode appends outer shells instead of regridding: existing
+  // The session appends outer shells instead of regridding: existing
   // hosts keep their cells, the outer radius covers the newcomer, and the
   // tree stays valid.
   OverlaySession session(Point{0.0, 0.0}, degree(6));
@@ -82,16 +65,6 @@ TEST(OverlaySessionTest, JoinOutsideRadiusExtendsIncrementally) {
   EXPECT_EQ(session.stats().regrids, regridsBefore);
   EXPECT_GE(session.stats().extends, 1);
   EXPECT_GE(session.outerRadius(), 10.0);
-  check(session, 6);
-}
-
-TEST(OverlaySessionTest, RingsGrowWithMembership) {
-  Rng rng(3);
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
-  const int before = session.rings();
-  for (int i = 0; i < 3000; ++i) session.join(sampleUnitBall(rng, 2));
-  EXPECT_GT(session.rings(), before);
-  EXPECT_GE(session.stats().regrids, 3);  // log-many regrids
   check(session, 6);
 }
 
@@ -177,14 +150,15 @@ TEST(OverlaySessionTest, ChurnStressStaysValidAndBounded) {
 }
 
 TEST(OverlaySessionTest, QualityTracksOfflineAlgorithm) {
-  // After many joins, the online tree's radius should be within a modest
-  // factor of the offline Polar_Grid tree on the same points. (Legacy
-  // mode: periodic full regrids re-place every host, which is what keeps
-  // the factor this tight — the incremental variant below drifts more and
-  // relies on the radius watchdog for its production bound.)
+  // After many joins and the watchdog's last-resort full regrid, the
+  // online tree's radius should be within a modest factor of the offline
+  // Polar_Grid tree on the same points. (The regrid re-places every host,
+  // which is what keeps the factor this tight — without it the session
+  // drifts more, see below, and relies on the watchdog for its bound.)
   Rng rng(6);
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
+  OverlaySession session(Point{0.0, 0.0}, degree(6));
   for (int i = 0; i < 5000; ++i) session.join(sampleUnitBall(rng, 2));
+  session.forceRegrid();
   const SessionSnapshot snap = session.snapshot();
   const TreeMetrics online = computeMetrics(snap.tree, snap.positions);
 
@@ -203,7 +177,7 @@ TEST(OverlaySessionTest, QualityTracksOfflineAlgorithm) {
 TEST(OverlaySessionTest, IncrementalQualityStaysWithinDriftBound) {
   // Incremental maintenance never re-places old hosts wholesale, so it
   // trades some radius for O(polylog) events: the factor over the offline
-  // build is looser than legacy's 2x but must stay within the constant
+  // build is looser than a regrid's 2x but must stay within the constant
   // drift bound the watchdog enforces in production.
   Rng rng(6);
   OverlaySession session(Point{0.0, 0.0}, degree(6));
@@ -242,9 +216,6 @@ TEST(OverlaySessionTest, ThreeDimensionalSession) {
 TEST(OverlaySessionTest, RejectsBadOptions) {
   SessionOptions bad;
   bad.maxOutDegree = 1;
-  EXPECT_THROW(OverlaySession(Point{0.0, 0.0}, bad), InvalidArgument);
-  bad = {};
-  bad.regridGrowthFactor = 1.0;
   EXPECT_THROW(OverlaySession(Point{0.0, 0.0}, bad), InvalidArgument);
   bad = {};
   bad.initialRadius = 0.0;
@@ -394,11 +365,10 @@ namespace {
 TEST(OverlaySessionCrashTest, CrashesPendingAcrossRegridAreAbsorbed) {
   // A regrid rebuilds the overlay from live hosts only, so crashes that
   // are still pending when it fires must come out fully repaired.
-  // (Legacy mode: incremental splits deliberately do NOT absorb pending
-  // crashes — that is detectAndRepair()'s job — so only the regrid-driven
-  // session reaches a regrid through joins alone.)
+  // (Splits deliberately do NOT absorb pending crashes — that is
+  // detectAndRepair()'s job — so the regrid here is the watchdog's.)
   Rng rng(60);
-  OverlaySession session(Point{0.0, 0.0}, legacyDegree(6));
+  OverlaySession session(Point{0.0, 0.0}, degree(6));
   std::vector<NodeId> ids;
   for (int i = 0; i < 200; ++i)
     ids.push_back(session.join(sampleUnitBall(rng, 2)));
@@ -410,10 +380,9 @@ TEST(OverlaySessionCrashTest, CrashesPendingAcrossRegridAreAbsorbed) {
   EXPECT_EQ(session.undetectedCrashes(),
             static_cast<std::int64_t>(victims.size()));
 
-  // Keep joining until the growth factor forces a regrid.
   const std::int64_t regridsBefore = session.stats().regrids;
-  while (session.stats().regrids == regridsBefore)
-    session.join(sampleUnitBall(rng, 2));
+  session.forceRegrid();
+  EXPECT_EQ(session.stats().regrids, regridsBefore + 1);
 
   EXPECT_EQ(session.undetectedCrashes(), 0);
   for (const NodeId v : victims) {

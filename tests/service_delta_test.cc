@@ -2,8 +2,8 @@
 //
 // A delta-built epoch must be bit-identical (arrays, fingerprint, epoch)
 // to the full rebuild it replaced, untouched groups must never republish,
-// shard rebalancing must never change any group's outcome, and the cheap
-// kQuick audit must agree with kFull — including on corrupted tables.
+// and the cheap kQuick audit must agree with kFull — including on
+// corrupted tables.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -115,41 +115,6 @@ TEST(ServiceDeltaTest, DeltaMatchesFullRebuildAcrossRandomizedChurn) {
   }
   // The oracle is vacuous unless the patch path actually ran.
   EXPECT_GT(deltasSeen, 1000);
-}
-
-TEST(ServiceDeltaTest, RebalancingNeverChangesAnyGroupsTable) {
-  ScriptOptions script;
-  script.groups = 24;
-  script.hosts = 600;
-  script.events = 6000;
-  script.seed = 21;
-  script.sizeSkew = 1.0;  // heavy-head sizes: rebalancing actually moves work
-  const auto events = generateMembershipScript(script);
-
-  std::map<GroupId, std::pair<std::uint64_t, std::uint64_t>> outcomes[2];
-  for (const bool rebalance : {false, true}) {
-    ServiceOptions options;
-    options.shards = 4;
-    options.rebalanceShards = rebalance;
-    GroupManager manager(options);
-    const ReplayResult result =
-        replayScript(manager, events, {.batchSize = 256});
-    EXPECT_TRUE(result.converged());
-    if (rebalance) {
-      EXPECT_GT(manager.stats().rebalances, 0);
-      std::int64_t total = 0;
-      for (const std::int64_t load : manager.shardLoads()) total += load;
-      EXPECT_GT(total, 0);
-    }
-    for (const GroupId group : manager.createdGroups())
-      outcomes[rebalance ? 1 : 0][group] = {
-          manager.routes(group) ? manager.routes(group)->fingerprint() : 0,
-          manager.epochOf(group)};
-  }
-  ASSERT_EQ(outcomes[0].size(), outcomes[1].size());
-  for (const auto& [group, fpEpoch] : outcomes[0])
-    EXPECT_EQ(outcomes[1].at(group), fpEpoch)
-        << "group " << group << ": rebalancing changed the published table";
 }
 
 TEST(ServiceDeltaTest, QuickAuditAgreesWithFullAndCatchesCorruption) {

@@ -149,6 +149,36 @@ TEST(ServiceTest, MalformedEventsThrow) {
                InvalidArgument);
 }
 
+// A batch that throws part-way leaves its applied events applied. The
+// group they touched must still publish on the next batch that touches
+// it, not stay stale until quiesce().
+class ServiceThrowingBatchTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServiceThrowingBatchTest, GroupLeftUnpublishedRepublishesNextBatch) {
+  GroupManager manager(directOptions(GetParam()));
+  manager.apply(std::vector<MembershipEvent>{join(0, 1, 0.1, 0.1)});
+  ASSERT_EQ(manager.epochOf(0), 1u);
+
+  // join 2 applies, then the duplicate join of host 1 throws.
+  EXPECT_THROW(manager.apply(std::vector<MembershipEvent>{
+                   join(0, 2, -0.2, 0.3), join(0, 1, 0.1, 0.1)}),
+               InvalidArgument);
+  EXPECT_EQ(manager.liveMembersOf(0), 2);
+
+  manager.apply(std::vector<MembershipEvent>{join(0, 3, 0.3, -0.2)});
+  EXPECT_EQ(manager.liveMembersOf(0), 3);
+  EXPECT_EQ(manager.epochOf(0), 2u);
+  const auto table = manager.routes(0);
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->size(), 3);
+  for (const HostId host : {1, 2, 3})
+    EXPECT_NE(manager.parentOf(0, host), kNotMember) << "host " << host;
+  EXPECT_TRUE(table->checkConsistency(6).ok);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ServiceThrowingBatchTest,
+                         ::testing::Values(1, 4));
+
 TEST(ServiceTest, DegreeCapIsHonouredUnderFanIn) {
   ServiceOptions options = directOptions();
   options.session.maxOutDegree = 3;

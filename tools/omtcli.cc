@@ -17,7 +17,7 @@
 //   omtcli churn    [--events 20000] [--warmup 512] [--sweep-every 256]
 //                   [--departure-fraction 0.5] [--crash-fraction 0.3]
 //                   [--degree 6] [--dim 2] [--seed 1] [--min-live 64]
-//                   [--incremental 1] [--snapshot out.txt]
+//                   [--snapshot out.txt]
 //   omtcli dataplane --points points.txt --tree tree.txt [--packets 1000]
 //                   [--interval 1e-4] [--loss 0.01] [--burst-start 0]
 //                   [--burst-stop 0.25] [--burst-loss 0.5]
@@ -37,6 +37,7 @@
 // (malformed files, invalid trees) exit non-zero with a message on stderr.
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstring>
 #include <fstream>
@@ -115,9 +116,20 @@ class Flags {
               "--" + key + " " + text + " is out of range");
     return static_cast<T>(value);
   }
+  /// Floating-point flag. Throws InvalidArgument unless the whole value
+  /// parses as a finite number.
   double getDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    OMT_CHECK(ec != std::errc::invalid_argument && ptr == end,
+              "--" + key + " expects a number, got '" + text + "'");
+    OMT_CHECK(ec == std::errc() && std::isfinite(value),
+              "--" + key + " " + text + " is not a finite double");
+    return value;
   }
 
  private:
@@ -363,7 +375,6 @@ int cmdChurn(const Flags& flags) {
   SteadyChurnOptions options;
   options.dim = flags.getIntAs<int>("dim", 2);
   options.session.maxOutDegree = flags.getIntAs<int>("degree", 6);
-  options.session.incremental = flags.getInt("incremental", 1) != 0;
   options.warmupHosts = flags.getInt("warmup", 512);
   options.events = flags.getInt("events", 20000);
   options.departureFraction = flags.getDouble("departure-fraction", 0.5);
@@ -556,7 +567,6 @@ int cmdServe(const Flags& flags) {
   service.measureLatency = flags.getInt("latency", 0) != 0;
   service.deltaPublish = flags.getInt("delta", 1) != 0;
   service.deltaVerify = flags.getInt("delta-verify", 0) != 0;
-  service.rebalanceShards = flags.getInt("rebalance", 1) != 0;
   GroupManager manager(service);
 
   ReplayOptions replay;
