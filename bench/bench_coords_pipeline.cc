@@ -183,9 +183,11 @@ std::vector<int> threadSweep(int maxThreads) {
 /// Times the fused polar+classify+count kernel (polarClassifyBatch, the
 /// assignToGrid front half) against the PR 5 unfused two-pass kernel path,
 /// across the --threads sweep, and — when compiled in — with the fast-math
-/// tier on. The single-thread exact fused run is verified bitwise against
-/// the unfused path before any number is reported. Returns true when the
-/// exact fused path is not >10% slower than the unfused path it replaces.
+/// tier on. Before any timing, one single-thread exact fused run is
+/// verified bit for bit against the unfused path: its packed polar output
+/// coordinate by coordinate against the AoS structs, and its ring and cell
+/// per point. Returns true when the exact fused path is not >10% slower
+/// than the unfused path it replaces.
 bool timeFusedPointToCell(std::int64_t n, int dim, int repeats, int maxThreads,
                           BenchJsonWriter& json, TextTable& out) {
   Rng rng(deriveSeed(7300, static_cast<std::uint64_t>(dim)));
@@ -224,7 +226,8 @@ bool timeFusedPointToCell(std::int64_t n, int dim, int repeats, int maxThreads,
     unfusedSec += watch.seconds();
   }
 
-  std::vector<PolarCoords> fusedPolar(un);
+  const auto stride = static_cast<std::size_t>(dim);
+  std::vector<double> fusedPolar(un * stride);
   std::vector<std::int32_t> fusedRing(un);
   std::vector<std::uint64_t> fusedCell(un);
   const auto runFused = [&](int threads) {
@@ -235,14 +238,36 @@ bool timeFusedPointToCell(std::int64_t n, int dim, int repeats, int maxThreads,
                         kernels::polarClassifyBatch(
                             std::span<const Point>(points).subspan(ulo, len),
                             origin, table,
-                            std::span<PolarCoords>(fusedPolar)
-                                .subspan(ulo, len),
+                            std::span<double>(fusedPolar)
+                                .subspan(ulo * stride, len * stride),
                             std::span<std::int32_t>(fusedRing)
                                 .subspan(ulo, len),
                             std::span<std::uint64_t>(fusedCell)
                                 .subspan(ulo, len));
                       });
   };
+
+  // Exact mode is contract-bound to the unfused kernels to the bit.
+  {
+    const bool prev = kernels::fast_math::setEnabled(false);
+    runFused(1);
+    kernels::fast_math::setEnabled(prev);
+  }
+  for (std::size_t i = 0; i < un; ++i) {
+    const double* packed = fusedPolar.data() + i * stride;
+    OMT_CHECK(std::bit_cast<std::uint64_t>(packed[0]) ==
+                  std::bit_cast<std::uint64_t>(basePolar[i].radius),
+              "fused polar radius diverged from unfused");
+    for (int j = 0; j < dim - 1; ++j) {
+      OMT_CHECK(std::bit_cast<std::uint64_t>(packed[1 + j]) ==
+                    std::bit_cast<std::uint64_t>(
+                        basePolar[i].cube[static_cast<std::size_t>(j)]),
+                "fused polar cube diverged from unfused");
+    }
+    OMT_CHECK(fusedRing[i] == baseRing[i] && fusedCell[i] == baseCell[i],
+              "fused classification diverged from unfused");
+  }
+
   const double perPoint = 1e9 / (static_cast<double>(n) * repeats);
   bool gateOk = true;
   for (const bool fast : {false, true}) {
@@ -257,18 +282,8 @@ bool timeFusedPointToCell(std::int64_t n, int dim, int repeats, int maxThreads,
         runFused(threads);
         fusedSec += watch.seconds();
       }
-      if (!fast && threads == 1) {
-        // Exact mode is contract-bound to the unfused kernels to the bit.
-        for (std::size_t i = 0; i < un; ++i) {
-          OMT_CHECK(std::bit_cast<std::uint64_t>(fusedPolar[i].radius) ==
-                        std::bit_cast<std::uint64_t>(basePolar[i].radius),
-                    "fused polar radius diverged from unfused");
-          OMT_CHECK(fusedRing[i] == baseRing[i] &&
-                        fusedCell[i] == baseCell[i],
-                    "fused classification diverged from unfused");
-        }
-        if (fusedSec > 1.10 * unfusedSec) gateOk = false;
-      }
+      if (!fast && threads == 1 && fusedSec > 1.10 * unfusedSec)
+        gateOk = false;
       json.beginRow();
       json.field("dim", static_cast<std::int64_t>(dim));
       json.field("n", n);

@@ -32,11 +32,11 @@ namespace {
 
 /// Index (into `candidates`) of the minimum-radius point, ties by node id.
 std::size_t argMinRadius(std::span<const NodeId> candidates,
-                         std::span<const PolarCoords> polar) {
+                         const GridAssignment& assignment) {
   std::size_t best = 0;
   for (std::size_t i = 1; i < candidates.size(); ++i) {
-    const double cur = polar[static_cast<std::size_t>(candidates[i])].radius;
-    const double bst = polar[static_cast<std::size_t>(candidates[best])].radius;
+    const double cur = assignment.radiusOf(candidates[i]);
+    const double bst = assignment.radiusOf(candidates[best]);
     if (cur < bst || (cur == bst && candidates[i] < candidates[best]))
       best = i;
   }
@@ -134,12 +134,6 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
   const Point& origin = points[static_cast<std::size_t>(source)];
   const int fanOut = cellBisectionFanOut(d, options.maxOutDegree);
   const int degree = options.maxOutDegree;
-
-  // Radii for representative selection come straight from the assignment's
-  // polar coordinates (toPolar's radius is bit-identical to
-  // distance(point, origin)) — the second full conversion pass the old
-  // pipeline ran is gone.
-  const std::span<const PolarCoords> polar = assignment.polarOfPoint;
 
   // Stage 2a (parallel over cells): representative of every occupied cell =
   // the point "closest to the center on the inner arc of the segment"
@@ -303,7 +297,7 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
               removeAt(locals, tPos);
               attachCore(relay, cellRep);
               for (int c = 0; c < childCount; ++c) attachCore(childReps[c], relay);
-              const std::size_t bPos = argMinRadius(locals, polar);
+              const std::size_t bPos = argMinRadius(locals, assignment);
               const NodeId center = locals[bPos];
               removeAt(locals, bPos);
               tree.attach(center, cellRep, EdgeKind::kLocal);
@@ -317,9 +311,9 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
             localPolar.clear();
             localPolar.reserve(locals.size());
             for (const NodeId member : locals)
-              localPolar.push_back(polar[static_cast<std::size_t>(member)]);
+              localPolar.push_back(assignment.polarOf(member));
             bisectConnect(tree, locals, localPolar, bisectRoot,
-                          polar[static_cast<std::size_t>(bisectRoot)].radius,
+                          assignment.radiusOf(bisectRoot),
                           grid.cellSegment(ring, cell), bisectFanOut);
           }
         }

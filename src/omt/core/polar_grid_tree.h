@@ -36,7 +36,8 @@ struct PolarGridOptions {
   /// Maximum out-degree of any node, >= 2. Defaults to the paper's 2D
   /// setting; pass 10 for the paper's 3D experiments, 2 for binary trees.
   int maxOutDegree = 6;
-  /// Optional fixed outer radius (default: max source-to-point distance).
+  /// Optional fixed outer radius, finite and > 0 (default: max
+  /// source-to-point distance).
   std::optional<double> outerRadius = std::nullopt;
   /// Hard cap on the ring count (testing hook; the default never binds).
   int maxRings = PolarGrid::kMaxRings;

@@ -103,7 +103,23 @@ const kernels::ClassifyTable& workerClassifyTable(
   return cache.table;
 }
 
+/// Point i's entry of a packed polar store (dim doubles per point).
+PolarCoords unpackPolar(std::span<const double> packed, int dim,
+                        std::size_t i) {
+  const double* p = packed.data() + i * static_cast<std::size_t>(dim);
+  PolarCoords polar;
+  polar.dim = dim;
+  polar.radius = p[0];
+  for (int j = 0; j < dim - 1; ++j)
+    polar.cube[static_cast<std::size_t>(j)] = p[1 + j];
+  return polar;
+}
+
 }  // namespace
+
+PolarCoords GridAssignment::polarOf(NodeId i) const {
+  return unpackPolar(packedPolar, grid.dim(), static_cast<std::size_t>(i));
+}
 
 std::int64_t GridAssignment::occupiedCells() const {
   if (occupiedCellCount >= 0) return occupiedCellCount;
@@ -130,6 +146,10 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   OMT_CHECK(d >= 2 && d <= kMaxDim, "dimension out of range");
   OMT_CHECK(options.maxRings >= 1 && options.maxRings <= PolarGrid::kMaxRings,
             "ring cap out of range");
+  OMT_CHECK(!options.outerRadius.has_value() ||
+                (std::isfinite(*options.outerRadius) &&
+                 *options.outerRadius > 0.0),
+            "explicit outer radius must be finite and positive");
   const int workers = resolveWorkers(options.workers);
   const auto slots = static_cast<std::size_t>(workers);
 
@@ -147,7 +167,8 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   ScratchArena::Scope arenaScope(arena);
   const auto un = static_cast<std::size_t>(n);
 
-  std::vector<PolarCoords> polar(points.size());
+  const auto ud = static_cast<std::size_t>(d);
+  std::vector<double> packed(un * ud);
   std::vector<double> slotMax(slots, 0.0);
   double maxRadius = 0.0;
   double outerRadius = 0.0;
@@ -182,15 +203,23 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
                           const auto idx = static_cast<std::size_t>(i);
                           OMT_CHECK(points[idx].dim() == d,
                                     "mixed dimensions in point set");
-                          polar[idx] = toPolar(points[idx], origin);
-                          localMax = std::max(localMax, polar[idx].radius);
+                          const PolarCoords polar =
+                              toPolar(points[idx], origin);
+                          double* dst = packed.data() + idx * ud;
+                          dst[0] = polar.radius;
+                          for (int j = 0; j < d - 1; ++j)
+                            dst[1 + j] =
+                                polar.cube[static_cast<std::size_t>(j)];
+                          localMax = std::max(localMax, polar.radius);
                         }
                         slotMax[static_cast<std::size_t>(slot)] = localMax;
                       });
     for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
     outerRadius = options.outerRadius.value_or(maxRadius);
   }
-  if (outerRadius <= 0.0) outerRadius = 1.0;  // all points at the source
+  // A computed radius of 0 means every point sits at the source; an
+  // explicit one was checked positive above.
+  if (outerRadius <= 0.0) outerRadius = 1.0;
   polarSpan.end();
 
   // Classify every point at the largest candidate k. The fused kernel path
@@ -227,7 +256,7 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
           const auto len = static_cast<std::size_t>(hi - lo);
           const double chunkMax = kernels::polarClassifyBatch(
               points.subspan(ulo, len), origin, table,
-              std::span<PolarCoords>(polar).subspan(ulo, len),
+              std::span<double>(packed).subspan(ulo * ud, len * ud),
               ringMax.subspan(ulo, len), cellMax.subspan(ulo, len));
           auto& localMax = slotMax[static_cast<std::size_t>(slot)];
           localMax = std::max(localMax, chunkMax);
@@ -260,9 +289,10 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
     std::memset(occMax.data(), 0, occMax.size());
     parallelFor(0, n, workers, [&](std::int64_t i) {
       const auto idx = static_cast<std::size_t>(i);
-      const int ring = gridMax.ringOf(std::min(polar[idx].radius, outerRadius));
+      const PolarCoords polar = unpackPolar(packed, d, idx);
+      const int ring = gridMax.ringOf(std::min(polar.radius, outerRadius));
       ringMax[idx] = ring;
-      cellMax[idx] = gridMax.cellOf(polar[idx], ring);
+      cellMax[idx] = gridMax.cellOf(polar, ring);
       std::atomic_ref<std::uint8_t>(
           occMax[static_cast<std::size_t>(gridMax.heapId(ring, cellMax[idx]))])
           .store(1, std::memory_order_relaxed);
@@ -278,14 +308,10 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   // Final assignment under the chosen k.
   const int delta = kMax - chosen;
   GridAssignment out{.grid = PolarGrid(d, chosen, outerRadius),
-                     .ringOfPoint = {},
-                     .cellOfPoint = {},
-                     .polarOfPoint = {},
+                     .packedPolar = std::move(packed),
                      .cellStart = {},
                      .cellMembers = {},
                      .occupiedCellCount = -1};
-  out.ringOfPoint.resize(points.size());
-  out.cellOfPoint.resize(points.size());
 
   // Counting sort into the CSR. The kernel path already holds per-cell
   // counts at kMax, and a chosen-k cell's members are exactly the points in
@@ -333,8 +359,8 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   out.occupiedCellCount = occupied;
   gridMetrics().occupiedCells.set(static_cast<double>(occupied));
 
-  // Fused scatter: materialise the chosen-k ring/cell of every point and
-  // place it through its cell's atomic cursor in the same walk. The cursor
+  // Scatter: derive the chosen-k ring/cell of every point and place it
+  // through its cell's atomic cursor in the same walk. The cursor
   // entry is the one random access, so it gets a software prefetch from
   // the cheap-to-recompute lookahead heap id.
   out.cellMembers.resize(points.size());
@@ -355,8 +381,6 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
       }
       const int ring = std::max(0, ringMax[idx] - delta);
       const std::uint64_t cell = ring == 0 ? 0 : (cellMax[idx] >> delta);
-      out.ringOfPoint[idx] = ring;
-      out.cellOfPoint[idx] = cell;
       const std::uint64_t h = out.grid.heapId(ring, cell);
       const std::int64_t pos =
           std::atomic_ref<std::int64_t>(cursor[static_cast<std::size_t>(h)])
@@ -374,7 +398,6 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
         }
       });
 
-  out.polarOfPoint = std::move(polar);
   return out;
 }
 

@@ -31,16 +31,13 @@ namespace omt {
 struct GridAssignment {
   PolarGrid grid;  ///< chosen grid (k maximal, outer radius = max distance)
 
-  /// Per-point ring index in [0, grid.rings()].
-  std::vector<std::int32_t> ringOfPoint;
-  /// Per-point cell index within its ring.
-  std::vector<std::uint64_t> cellOfPoint;
-
-  /// Per-point polar coordinates about the source — the expensive part of
-  /// classification (incomplete sin^k integral inversions in 3D), exposed
-  /// so downstream stages (tree wiring, bisection) never convert twice.
-  /// polarOfPoint[i].radius equals distance(points[i], origin) exactly.
-  std::vector<PolarCoords> polarOfPoint;
+  /// Per-point polar coordinates about the source, packed point-major:
+  /// grid.dim() doubles per point, the radius first and then the d-1
+  /// angular-cube coordinates (16 bytes a point in 2D; a PolarCoords takes
+  /// 72). Classification computes them anyway, and downstream stages (tree
+  /// wiring, bisection) read them here rather than converting twice. Read
+  /// through radiusOf / polarOf.
+  std::vector<double> packedPolar;
 
   /// CSR of point indices grouped by cell heap id:
   /// members of heap id h are cellMembers[cellStart[h] .. cellStart[h+1]),
@@ -51,6 +48,17 @@ struct GridAssignment {
   /// Number of non-empty cells, cached by assignToGrid (-1 = not cached;
   /// occupiedCells() then derives it from the CSR bounds).
   std::int64_t occupiedCellCount = -1;
+
+  /// Distance of point i from the source; equals distance(points[i],
+  /// origin) exactly.
+  double radiusOf(NodeId i) const {
+    return packedPolar[static_cast<std::size_t>(i) *
+                       static_cast<std::size_t>(grid.dim())];
+  }
+
+  /// Point i's polar coordinates, bitwise equal to toPolar(points[i],
+  /// origin).
+  PolarCoords polarOf(NodeId i) const;
 
   std::span<const NodeId> membersOf(std::uint64_t heapId) const {
     const auto begin = cellStart[static_cast<std::size_t>(heapId)];
@@ -69,8 +77,9 @@ struct GridAssignment {
 struct AssignmentOptions {
   /// Hard cap on k; the default never binds in practice.
   int maxRings = PolarGrid::kMaxRings;
-  /// Optional fixed outer radius; by default the max source-to-point
-  /// distance is used. Useful when the region's radius is known a priori.
+  /// Optional fixed outer radius, finite and > 0; by default the max
+  /// source-to-point distance is used. Useful when the region's radius is
+  /// known a priori.
   std::optional<double> outerRadius = std::nullopt;
   /// Worker threads for the O(n) passes; 0 = auto (OMT_THREADS environment
   /// variable, else half the hardware threads). The result is byte-for-byte

@@ -268,17 +268,29 @@ double polarLanesCore(const Point* pts, std::size_t n, const double* o, int d,
   return exactPolarLanesGeneric(pts, n, o, d, cube, radius);
 }
 
-void writeAos(std::span<PolarCoords> aosOut, std::size_t offset,
-              std::size_t len, int d, const double* radius,
+void writeAos(std::span<PolarCoords> aosOut, int d, const double* radius,
               double* const* cube) {
-  for (std::size_t i = 0; i < len; ++i) {
-    PolarCoords& out = aosOut[offset + i];
+  for (std::size_t i = 0; i < aosOut.size(); ++i) {
+    PolarCoords& out = aosOut[i];
     out.radius = radius[i];
     out.dim = d;
     for (int j = 0; j < d - 1; ++j)
       out.cube[static_cast<std::size_t>(j)] = cube[j][i];
     for (int j = d - 1; j < kMaxDim - 1; ++j)
       out.cube[static_cast<std::size_t>(j)] = 0.0;
+  }
+}
+
+/// Point-major packed output: per point the radius, then the d-1 cube
+/// coordinates.
+void writePacked(std::span<double> packedOut, std::size_t offset,
+                 std::size_t len, int d, const double* radius,
+                 double* const* cube) {
+  const auto stride = static_cast<std::size_t>(d);
+  double* out = packedOut.data() + offset * stride;
+  for (std::size_t i = 0; i < len; ++i, out += stride) {
+    out[0] = radius[i];
+    for (int j = 0; j < d - 1; ++j) out[1 + j] = cube[j][i];
   }
 }
 
@@ -303,7 +315,7 @@ double polarOfPointsBatch(std::span<const Point> points, const Point& origin,
   const double maxRadius = polarLanesCore(
       points.data(), n, origin.coords().data(), d, lanes.radius.data(), cube,
       fast);
-  if (!aosOut.empty()) writeAos(aosOut, 0, n, d, lanes.radius.data(), cube);
+  if (!aosOut.empty()) writeAos(aosOut, d, lanes.radius.data(), cube);
   return maxRadius;
 }
 
@@ -329,14 +341,15 @@ double radiusMaxBatch(std::span<const Point> points, const Point& origin) {
 
 double polarClassifyBatch(std::span<const Point> points, const Point& origin,
                           const ClassifyTable& table,
-                          std::span<PolarCoords> aosOut,
+                          std::span<double> polarOut,
                           std::span<std::int32_t> ringOut,
                           std::span<std::uint64_t> cellOut) {
   const int d = origin.dim();
   OMT_CHECK(d == table.dim, "classify table dimension mismatch");
   OMT_CHECK(d >= 2 && d <= kMaxDim, "polar coordinates require dimension >= 2");
   const std::size_t n = points.size();
-  OMT_CHECK(aosOut.size() == n, "AoS output size mismatch");
+  OMT_CHECK(polarOut.size() == n * static_cast<std::size_t>(d),
+            "packed polar output size mismatch");
   OMT_CHECK(ringOut.size() == n && cellOut.size() == n,
             "classification output size mismatch");
   batchPointsCounter().add(static_cast<std::int64_t>(n));
@@ -356,7 +369,7 @@ double polarClassifyBatch(std::span<const Point> points, const Point& origin,
         polarLanesCore(points.data() + start, len, origin.coords().data(), d,
                        blockRadius, cube, fast);
     maxRadius = std::max(maxRadius, blockMax);
-    writeAos(aosOut, start, len, d, blockRadius, cube);
+    writePacked(polarOut, start, len, d, blockRadius, cube);
     blockLanes.radius = std::span<double>(blockRadius, len);
     for (int j = 0; j < d - 1; ++j)
       blockLanes.cube[static_cast<std::size_t>(j)] =

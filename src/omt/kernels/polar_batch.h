@@ -41,8 +41,8 @@ struct PolarLanes {
 };
 
 /// Batched toPolar: convert points[i] about `origin` into `lanes` and, when
-/// `aosOut` is non-empty, the matching PolarCoords structs (the AoS output
-/// the GridAssignment API exposes). Returns the batch's maximum radius
+/// `aosOut` is non-empty, the matching PolarCoords structs (the form
+/// bisectConnect takes). Returns the batch's maximum radius
 /// (the per-chunk reduction the assignment pass needs). Every written
 /// double is bitwise identical to toPolar(points[i], origin).
 double polarOfPointsBatch(std::span<const Point> points, const Point& origin,
@@ -78,18 +78,20 @@ void ringCellBatch(const ClassifyTable& table, std::span<const double> radius,
                    const PolarLanes& lanes, std::span<std::int32_t> ringOut,
                    std::span<std::uint64_t> cellOut);
 
-/// Fused polar + classify: one walk over `points` that produces the AoS
-/// polar output, the ring index at the table's full ring count, and the
-/// cell address — the whole per-point front half of assignToGrid. Works in
+/// Fused polar + classify: one walk over `points` that produces the polar
+/// coordinates, the ring index at the table's full ring count, and the
+/// cell address — the whole per-point front half of assignToGrid. The
+/// polar output is packed point-major in GridAssignment::packedPolar's
+/// layout: `polarOut` holds dim doubles per point, the radius and then the
+/// dim-1 cube coordinates (size points.size() * dim). Works in
 /// cache-resident blocks with small stack lanes instead of spilling
-/// n-sized SoA lanes to memory between the passes (the lanes of
-/// polarOfPointsBatch are 8(d-?) bytes/point of DRAM round trip at n in the
-/// millions). Returns the batch max radius. Exact mode is bitwise identical
-/// to polarOfPointsBatch + ringCellBatch; fast-math mode routes the
-/// transcendentals through the fast_math tier.
+/// n-sized SoA lanes to memory between the passes. Returns the batch max
+/// radius. Exact mode is bitwise identical to polarOfPointsBatch +
+/// ringCellBatch; fast-math mode routes the transcendentals through the
+/// fast_math tier.
 double polarClassifyBatch(std::span<const Point> points, const Point& origin,
                           const ClassifyTable& table,
-                          std::span<PolarCoords> aosOut,
+                          std::span<double> polarOut,
                           std::span<std::int32_t> ringOut,
                           std::span<std::uint64_t> cellOut);
 

@@ -1,6 +1,7 @@
 #include "omt/core/polar_grid_tree.h"
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -58,6 +59,12 @@ TEST(PolarGridTreeTest, RejectsBadArguments) {
   EXPECT_THROW(buildPolarGridTree(points, 1), InvalidArgument);
   EXPECT_THROW(buildPolarGridTree(points, 0, {.maxOutDegree = 1}),
                InvalidArgument);
+  for (const double bad : {-2.0, 0.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(buildPolarGridTree(points, 0, {.outerRadius = bad}),
+                 InvalidArgument)
+        << bad;
+  }
 }
 
 struct TreeParam {

@@ -5,6 +5,9 @@
 // invariant still holds. If an algorithm is changed deliberately, update
 // the constants (and note it in the change description).
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +80,125 @@ TEST(GoldenTest, PolarGridThreeDimensionalDegree10) {
   EXPECT_EQ(treeFingerprint(
                 buildPolarGridTree(points, 0, {.maxOutDegree = 10}).tree),
             0xf7c349cfb3d9a13eULL);
+}
+
+/// FNV-1a over every node's parent + 1, edge kind (0xff for the root) and
+/// out-degree: pins the whole tree, not just its parent links.
+std::uint64_t fullFingerprint(const MulticastTree& tree) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (x >> (8 * b)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    mix(static_cast<std::uint64_t>(tree.parentOf(v) + 1));
+    mix(v == tree.root() ? 0xffULL
+                         : static_cast<std::uint64_t>(tree.edgeKindOf(v)));
+    mix(static_cast<std::uint64_t>(tree.outDegree(v)));
+  }
+  return hash;
+}
+
+enum class Builder { kPolarGrid, kBisection };
+
+struct ScaleCase {
+  Builder builder;
+  int dim;
+  int degree;
+  std::int64_t n;
+  /// Stack every third point on point 1 and every seventh on point 2, so
+  /// the recursion runs out of extent and falls back to the m-ary fan.
+  bool coincident;
+  std::uint64_t fingerprint;
+};
+
+std::vector<Point> scalePoints(const ScaleCase& c) {
+  Rng rng(0x601d0000ULL + static_cast<std::uint64_t>(c.dim) * 1000003ULL +
+          static_cast<std::uint64_t>(c.n));
+  std::vector<Point> points = sampleDiskWithCenterSource(rng, c.n, c.dim);
+  if (c.coincident) {
+    for (std::size_t i = 3; i < points.size(); ++i) {
+      if (i % 7 == 0) {
+        points[i] = points[2];
+      } else if (i % 3 == 0) {
+        points[i] = points[1];
+      }
+    }
+  }
+  return points;
+}
+
+MulticastTree buildScaleCase(const ScaleCase& c,
+                             std::span<const Point> points, int workers) {
+  if (c.builder == Builder::kPolarGrid) {
+    return buildPolarGridTree(points, 0,
+                              {.maxOutDegree = c.degree, .workers = workers})
+        .tree;
+  }
+  return buildBisectionTree(points, 0,
+                            {.maxOutDegree = c.degree, .workers = workers})
+      .tree;
+}
+
+std::string describe(const ScaleCase& c) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%s d=%d D=%d n=%lld%s",
+                c.builder == Builder::kPolarGrid ? "polar_grid" : "bisection",
+                c.dim, c.degree, static_cast<long long>(c.n),
+                c.coincident ? " coincident" : "");
+  return buf;
+}
+
+/// Construction output at a size where cells hold tens of points and the
+/// intra-cell bisection recurses several levels deep, at one and three
+/// workers, hashed over parents, edge kinds and out-degrees.
+TEST(GoldenTest, ConstructionAtScale) {
+  constexpr Builder kGrid = Builder::kPolarGrid;
+  constexpr Builder kBisect = Builder::kBisection;
+  const ScaleCase cases[] = {
+      {kGrid, 2, 2, 30000, false, 0x936f328fbce20016ULL},
+      {kGrid, 2, 3, 30000, false, 0xf63d65ffed48435aULL},
+      {kGrid, 2, 4, 30000, false, 0x61ff524497aae873ULL},
+      {kGrid, 2, 6, 30000, false, 0x194f602312c275bfULL},
+      {kGrid, 3, 2, 30000, false, 0xba0bad7eaf324fd9ULL},
+      {kGrid, 3, 3, 30000, false, 0x9f47fe33e63467a9ULL},
+      {kGrid, 3, 6, 30000, false, 0xc1bcc11d04a393d3ULL},
+      {kGrid, 3, 10, 30000, false, 0x598ed37e07e3a959ULL},
+      {kBisect, 2, 2, 30000, false, 0xc7affb4438549d09ULL},
+      {kBisect, 2, 3, 30000, false, 0x9d7559b8a16a1489ULL},
+      {kBisect, 2, 4, 30000, false, 0x0487e2e8d6c2d5b9ULL},
+      {kBisect, 2, 6, 30000, false, 0xc834dfc40894692fULL},
+      {kBisect, 3, 2, 30000, false, 0x14555f8f521032fdULL},
+      {kBisect, 3, 3, 30000, false, 0x3995672ae2094421ULL},
+      {kBisect, 3, 6, 30000, false, 0xce0b4d138a3b942fULL},
+      {kBisect, 3, 10, 30000, false, 0xfc39197ef56e1895ULL},
+      {kGrid, 2, 2, 5000, true, 0x828c8e491b92d601ULL},
+      {kGrid, 2, 3, 5000, true, 0xabca41c576f2d2f5ULL},
+      {kGrid, 2, 6, 5000, true, 0x5f7b648dd980ac8fULL},
+      {kGrid, 3, 2, 5000, true, 0x569fe7c81b42e050ULL},
+      {kGrid, 3, 3, 5000, true, 0x0af1e7be832ec6f1ULL},
+      {kGrid, 3, 6, 5000, true, 0xe9abfb142d58e153ULL},
+      {kBisect, 2, 2, 5000, true, 0xf334fccfb0f0274cULL},
+      {kBisect, 2, 3, 5000, true, 0x36e7cff1c7e2aef7ULL},
+      {kBisect, 2, 6, 5000, true, 0x012162315bff00b1ULL},
+      {kBisect, 3, 2, 5000, true, 0x6c7e96486c90572aULL},
+      {kBisect, 3, 3, 5000, true, 0x1884b70ac88dd1f8ULL},
+      {kBisect, 3, 6, 5000, true, 0xcd27ef4a93d365c1ULL},
+  };
+  for (const ScaleCase& c : cases) {
+    const std::vector<Point> points = scalePoints(c);
+    for (const int workers : {1, 3}) {
+      const std::uint64_t got =
+          fullFingerprint(buildScaleCase(c, points, workers));
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llx",
+                    static_cast<unsigned long long>(got));
+      EXPECT_EQ(got, c.fingerprint)
+          << describe(c) << " workers=" << workers << " got " << hex;
+    }
+  }
 }
 
 TEST(GoldenTest, FingerprintDistinguishesStructures) {

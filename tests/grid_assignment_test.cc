@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,23 @@ bool property3Holds(std::span<const Point> points, NodeId source, int k,
   return true;
 }
 
+/// Each point's heap id, read back from the CSR (0, never a heap id, for a
+/// point no cell lists).
+std::vector<std::uint64_t> heapIdOfEachPoint(const GridAssignment& a) {
+  std::vector<std::uint64_t> out(a.cellMembers.size(), 0);
+  for (std::uint64_t h = 1; h < a.grid.heapIdCount(); ++h) {
+    for (const NodeId member : a.membersOf(h))
+      out[static_cast<std::size_t>(member)] = h;
+  }
+  return out;
+}
+
+/// Whether the CSR lists `node` in ring 0.
+bool inRingZero(const GridAssignment& a, NodeId node) {
+  const auto members = a.membersOf(a.grid.heapId(0, 0));
+  return std::find(members.begin(), members.end(), node) != members.end();
+}
+
 TEST(AssignmentTest, Property3HoldsForChosenK) {
   Rng rng(41);
   for (const std::int64_t n : {16, 100, 1000, 20000}) {
@@ -61,16 +79,19 @@ TEST(AssignmentTest, CsrPartitionsAllPoints) {
   const auto points = sampleDiskWithCenterSource(rng, 3000, 2);
   const GridAssignment a = assignToGrid(points, 0);
 
+  // Every point is listed once, under the cell its own polar coordinates
+  // classify into at the chosen k.
   std::vector<std::uint8_t> seen(points.size(), 0);
   for (std::uint64_t h = 1; h < a.grid.heapIdCount(); ++h) {
     const int ring = a.grid.ringOfHeapId(h);
     for (const NodeId member : a.membersOf(h)) {
       EXPECT_FALSE(seen[static_cast<std::size_t>(member)]);
       seen[static_cast<std::size_t>(member)] = 1;
-      EXPECT_EQ(a.ringOfPoint[static_cast<std::size_t>(member)], ring);
-      EXPECT_EQ(a.grid.heapId(ring, a.cellOfPoint[static_cast<std::size_t>(
-                                        member)]),
-                h);
+      const PolarCoords polar =
+          toPolar(points[static_cast<std::size_t>(member)], points[0]);
+      EXPECT_EQ(a.grid.ringOf(std::min(polar.radius, a.grid.outerRadius())),
+                ring);
+      EXPECT_EQ(a.grid.heapId(ring, a.grid.cellOf(polar, ring)), h);
     }
   }
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
@@ -82,10 +103,12 @@ TEST(AssignmentTest, AssignedCellsContainTheirPoints) {
   for (const int d : {2, 3}) {
     const auto points = sampleDiskWithCenterSource(rng, 2000, d);
     const GridAssignment a = assignToGrid(points, 0);
+    const std::vector<std::uint64_t> heapId = heapIdOfEachPoint(a);
     for (std::size_t i = 0; i < points.size(); ++i) {
+      ASSERT_NE(heapId[i], 0u) << "d=" << d << " i=" << i;
       const PolarCoords polar = toPolar(points[i], points[0]);
       const RingSegment segment = a.grid.cellSegment(
-          a.ringOfPoint[i], a.cellOfPoint[i]);
+          a.grid.ringOfHeapId(heapId[i]), a.grid.cellOfHeapId(heapId[i]));
       EXPECT_TRUE(segment.contains(polar, 1e-9)) << "d=" << d << " i=" << i;
     }
   }
@@ -95,8 +118,7 @@ TEST(AssignmentTest, SourceIsInRingZero) {
   Rng rng(45);
   const auto points = sampleDiskWithCenterSource(rng, 500, 2);
   const GridAssignment a = assignToGrid(points, 0);
-  EXPECT_EQ(a.ringOfPoint[0], 0);
-  EXPECT_EQ(a.cellOfPoint[0], 0u);
+  EXPECT_EQ(heapIdOfEachPoint(a)[0], a.grid.heapId(0, 0));
 }
 
 TEST(AssignmentTest, OuterRadiusIsMaxDistance) {
@@ -115,6 +137,14 @@ TEST(AssignmentTest, ExplicitOuterRadius) {
 
   options.outerRadius = 0.1;  // smaller than the point spread
   EXPECT_THROW(assignToGrid(points, 0, options), InvalidArgument);
+
+  // An explicit radius must be finite and positive; only a computed radius
+  // of 0 (every point at the source) falls back to 1.
+  for (const double bad : {-2.0, 0.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    options.outerRadius = bad;
+    EXPECT_THROW(assignToGrid(points, 0, options), InvalidArgument) << bad;
+  }
 }
 
 TEST(AssignmentTest, KGrowsLogarithmically) {
@@ -142,7 +172,7 @@ TEST(AssignmentTest, SingleNode) {
   const std::vector<Point> points{Point{1.0, 2.0}};
   const GridAssignment a = assignToGrid(points, 0);
   EXPECT_EQ(a.grid.rings(), 1);
-  EXPECT_EQ(a.ringOfPoint[0], 0);
+  EXPECT_TRUE(inRingZero(a, 0));
   EXPECT_EQ(a.membersOf(1).size(), 1u);
 }
 
@@ -158,7 +188,7 @@ TEST(AssignmentTest, NonCenterSource) {
   auto points = sampleDiskWithCenterSource(rng, 800, 2);
   const NodeId source = 17;
   const GridAssignment a = assignToGrid(points, source);
-  EXPECT_EQ(a.ringOfPoint[static_cast<std::size_t>(source)], 0);
+  EXPECT_TRUE(inRingZero(a, source));
   EXPECT_TRUE(property3Holds(points, source, a.grid.rings(),
                              a.grid.outerRadius(), 2));
 }
@@ -260,8 +290,8 @@ TEST(AssignmentTest, ParallelAssignmentMatchesSequential) {
       EXPECT_DOUBLE_EQ(got.grid.outerRadius(), want.grid.outerRadius());
       EXPECT_EQ(got.cellStart, want.cellStart);
       EXPECT_EQ(got.cellMembers, want.cellMembers);
-      EXPECT_EQ(got.ringOfPoint, want.ringOfPoint);
-      EXPECT_EQ(got.cellOfPoint, want.cellOfPoint);
+      EXPECT_EQ(heapIdOfEachPoint(got), heapIdOfEachPoint(want));
+      EXPECT_EQ(got.packedPolar, want.packedPolar);
       EXPECT_EQ(got.occupiedCells(), want.occupiedCells());
     }
   }
@@ -271,13 +301,15 @@ TEST(AssignmentTest, PolarOfPointMatchesToPolar) {
   Rng rng(54);
   const auto points = sampleDiskWithCenterSource(rng, 3000, 2);
   const GridAssignment a = assignToGrid(points, 0);
-  ASSERT_EQ(a.polarOfPoint.size(), points.size());
+  ASSERT_EQ(a.packedPolar.size(), 2 * points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PolarCoords want = toPolar(points[i], points[0]);
-    EXPECT_EQ(a.polarOfPoint[i].radius, want.radius);
-    EXPECT_EQ(a.polarOfPoint[i].dim, want.dim);
+    const PolarCoords got = a.polarOf(static_cast<NodeId>(i));
+    EXPECT_EQ(a.radiusOf(static_cast<NodeId>(i)), want.radius);
+    EXPECT_EQ(got.radius, want.radius);
+    EXPECT_EQ(got.dim, want.dim);
     for (int c = 0; c < want.cubeAxes(); ++c)
-      EXPECT_EQ(a.polarOfPoint[i].cube[static_cast<std::size_t>(c)],
+      EXPECT_EQ(got.cube[static_cast<std::size_t>(c)],
                 want.cube[static_cast<std::size_t>(c)]);
   }
 }

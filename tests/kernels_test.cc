@@ -279,6 +279,17 @@ TEST_P(PolarBatchDims, AngularCubeBatchBitwiseEqualsFromPolar) {
 INSTANTIATE_TEST_SUITE_P(Dimensions, PolarBatchDims,
                          ::testing::Values(2, 3, 5, 8));
 
+/// Each point's heap id, read back from the CSR (0, never a heap id, for a
+/// point no cell lists).
+std::vector<std::uint64_t> heapIdOfEachPoint(const GridAssignment& a) {
+  std::vector<std::uint64_t> out(a.cellMembers.size(), 0);
+  for (std::uint64_t h = 1; h < a.grid.heapIdCount(); ++h) {
+    for (const NodeId member : a.membersOf(h))
+      out[static_cast<std::size_t>(member)] = h;
+  }
+  return out;
+}
+
 TEST(KernelsAssignmentTest, AssignToGridIdenticalWithKernelsOnAndOff) {
   for (const int d : {2, 3, 4, 6}) {
     Rng rng(0x5eed0400 + static_cast<std::uint64_t>(d));
@@ -295,18 +306,20 @@ TEST(KernelsAssignmentTest, AssignToGridIdenticalWithKernelsOnAndOff) {
 
     ASSERT_EQ(on.grid.rings(), off.grid.rings()) << "d=" << d;
     ASSERT_EQ(bits(on.grid.outerRadius()), bits(off.grid.outerRadius()));
-    ASSERT_EQ(on.ringOfPoint, off.ringOfPoint) << "d=" << d;
-    ASSERT_EQ(on.cellOfPoint, off.cellOfPoint) << "d=" << d;
+    ASSERT_EQ(heapIdOfEachPoint(on), heapIdOfEachPoint(off)) << "d=" << d;
     ASSERT_EQ(on.cellStart, off.cellStart) << "d=" << d;
     ASSERT_EQ(on.cellMembers, off.cellMembers) << "d=" << d;
-    ASSERT_EQ(on.polarOfPoint.size(), off.polarOfPoint.size());
-    for (std::size_t i = 0; i < on.polarOfPoint.size(); ++i) {
-      ASSERT_EQ(bits(on.polarOfPoint[i].radius),
-                bits(off.polarOfPoint[i].radius))
+    ASSERT_EQ(on.packedPolar.size(), points.size() * static_cast<std::size_t>(d));
+    ASSERT_EQ(off.packedPolar.size(), on.packedPolar.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const auto node = static_cast<NodeId>(i);
+      const PolarCoords onPolar = on.polarOf(node);
+      const PolarCoords offPolar = off.polarOf(node);
+      ASSERT_EQ(bits(onPolar.radius), bits(offPolar.radius))
           << "d=" << d << " i=" << i;
       for (int j = 0; j < d - 1; ++j)
-        ASSERT_EQ(bits(on.polarOfPoint[i].cube[static_cast<std::size_t>(j)]),
-                  bits(off.polarOfPoint[i].cube[static_cast<std::size_t>(j)]))
+        ASSERT_EQ(bits(onPolar.cube[static_cast<std::size_t>(j)]),
+                  bits(offPolar.cube[static_cast<std::size_t>(j)]))
             << "d=" << d << " i=" << i << " axis=" << j;
     }
   }
