@@ -115,6 +115,25 @@ PolarCoords unpackPolar(std::span<const double> packed, int dim,
   return polar;
 }
 
+constexpr std::int64_t kMinBlockPoints = 65536;
+constexpr std::int64_t kBlocksPerWorker = 4;
+
+/// Number of contiguous, equal point blocks of the CSR build, each with its
+/// own per-cell cursor row. The CSR does not depend on the block count, so
+/// the count only trades balance against table size: a few blocks per
+/// worker (a multiple of the worker count where the budget allows), at
+/// least kMinBlockPoints points each, and at most n / 2 int32 cursors in
+/// all (2 bytes a point at most; 1.5 MiB for a two-worker build at n = 1M).
+std::int64_t csrBlockCount(std::int64_t n, std::size_t heapIds, int workers) {
+  const std::int64_t cap = std::max<std::int64_t>(
+      1, std::min(n / kMinBlockPoints,
+                  n / 2 / static_cast<std::int64_t>(heapIds)));
+  // Whole rounds of one block per worker, so no worker is left an extra one.
+  const std::int64_t rounds =
+      std::min<std::int64_t>(kBlocksPerWorker, cap / workers);
+  return rounds >= 1 ? rounds * workers : cap;
+}
+
 }  // namespace
 
 PolarCoords GridAssignment::polarOf(NodeId i) const {
@@ -150,6 +169,10 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
                 (std::isfinite(*options.outerRadius) &&
                  *options.outerRadius > 0.0),
             "explicit outer radius must be finite and positive");
+  // CSR positions and per-block cursors are int32; a point set anywhere
+  // near 2^31 points could not have been materialised.
+  OMT_CHECK(n <= std::numeric_limits<std::int32_t>::max(),
+            "grid assignment supports at most 2^31 - 1 points");
   const int workers = resolveWorkers(options.workers);
   const auto slots = static_cast<std::size_t>(workers);
 
@@ -222,27 +245,26 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   if (outerRadius <= 0.0) outerRadius = 1.0;
   polarSpan.end();
 
-  // Classify every point at the largest candidate k. The fused kernel path
-  // does polar conversion, ring/cell classification, and per-cell counting
-  // in ONE walk over the points (cache-resident blocks inside
-  // polarClassifyBatch; the count array replaces the old occupancy bitmap
-  // AND the later CSR counting pass — integer sums are order-independent,
-  // so relaxed atomics keep the result identical for any worker count).
+  // Classify every point at the largest candidate k and mark the occupied
+  // cells. The fused kernel path does polar conversion and ring/cell
+  // classification in ONE walk over the points (cache-resident blocks inside
+  // polarClassifyBatch), then marks each point's kMax cell. Both paths mark
+  // with relaxed byte stores: every writer stores the same 1, so the bitmap
+  // is identical for any worker count, and selectRings reads it after the
+  // pool join.
   const int kMax = candidateRings(n, options.maxRings);
   const PolarGrid gridMax(d, kMax, outerRadius);
   const std::size_t heapIdsMax = gridMax.heapIdCount();
   std::span<std::int32_t> ringMax = arena.alloc<std::int32_t>(un);
   std::span<std::uint64_t> cellMax = arena.alloc<std::uint64_t>(un);
   std::span<std::uint8_t> occMax = arena.alloc<std::uint8_t>(heapIdsMax);
-  std::span<std::int32_t> countMax;
+  std::memset(occMax.data(), 0, occMax.size());
+  const auto markOccupied = [&](std::uint64_t h) {
+    std::atomic_ref<std::uint8_t>(occMax[static_cast<std::size_t>(h)])
+        .store(1, std::memory_order_relaxed);
+  };
   obs::TraceSpan classifySpan("classification", "grid", span.id());
   if (useKernels) {
-    // Per-cell member counts fit int32: a count is at most n, and a point
-    // set anywhere near 2^31 points could not have been materialised.
-    OMT_CHECK(n <= std::numeric_limits<std::int32_t>::max(),
-              "fused kernel path supports at most 2^31 - 1 points");
-    countMax = arena.alloc<std::int32_t>(heapIdsMax);
-    std::memset(countMax.data(), 0, countMax.size() * sizeof(std::int32_t));
     std::array<double, PolarGrid::kMaxRings + 1> radii{};
     for (int i = 0; i <= kMax; ++i)
       radii[static_cast<std::size_t>(i)] = gridMax.ringRadius(i);
@@ -260,42 +282,18 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
               ringMax.subspan(ulo, len), cellMax.subspan(ulo, len));
           auto& localMax = slotMax[static_cast<std::size_t>(slot)];
           localMax = std::max(localMax, chunkMax);
-          for (std::size_t i = ulo; i < ulo + len; ++i) {
-            // The heap id is two cheap integer ops, so recompute it for the
-            // lookahead and prefetch the count entry — the only random
-            // access in this loop.
-            if (i + 16 < ulo + len) {
-              __builtin_prefetch(
-                  &countMax[static_cast<std::size_t>(
-                      gridMax.heapId(ringMax[i + 16], cellMax[i + 16]))],
-                  1);
-            }
-            const std::uint64_t h = gridMax.heapId(ringMax[i], cellMax[i]);
-            std::atomic_ref<std::int32_t>(countMax[static_cast<std::size_t>(h)])
-                .fetch_add(1, std::memory_order_relaxed);
-          }
+          for (std::size_t i = ulo; i < ulo + len; ++i)
+            markOccupied(gridMax.heapId(ringMax[i], cellMax[i]));
         });
     for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
-    // Occupancy for ring selection, derived from the counts (selectRings
-    // folds its input destructively, so it gets its own byte array).
-    parallelForChunks(0, static_cast<std::int64_t>(heapIdsMax), workers,
-                      [&](std::int64_t lo, std::int64_t hi, int) {
-                        for (std::int64_t h = lo; h < hi; ++h) {
-                          const auto hs = static_cast<std::size_t>(h);
-                          occMax[hs] = countMax[hs] != 0 ? 1 : 0;
-                        }
-                      });
   } else {
-    std::memset(occMax.data(), 0, occMax.size());
     parallelFor(0, n, workers, [&](std::int64_t i) {
       const auto idx = static_cast<std::size_t>(i);
       const PolarCoords polar = unpackPolar(packed, d, idx);
       const int ring = gridMax.ringOf(std::min(polar.radius, outerRadius));
       ringMax[idx] = ring;
       cellMax[idx] = gridMax.cellOf(polar, ring);
-      std::atomic_ref<std::uint8_t>(
-          occMax[static_cast<std::size_t>(gridMax.heapId(ring, cellMax[idx]))])
-          .store(1, std::memory_order_relaxed);
+      markOccupied(gridMax.heapId(ring, cellMax[idx]));
     });
   }
   OMT_CHECK(maxRadius <= outerRadius * (1.0 + 1e-9),
@@ -313,88 +311,66 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
                      .cellMembers = {},
                      .occupiedCellCount = -1};
 
-  // Counting sort into the CSR. The kernel path already holds per-cell
-  // counts at kMax, and a chosen-k cell's members are exactly the points in
-  // its depth-delta descendant block at kMax — so the chosen counts fall
-  // out of delta levels of the same bottom-up heap fold selectRings uses
-  // (ascending h reads children 2h, 2h+1 before overwriting them; integer
-  // sums, so the result equals the per-point count to the bit). The fold
-  // overwrites the sub-delta rings' own counts on its way up, so the ring-0
-  // total (kMax-rings 0..delta collapse into chosen ring 0) is recovered by
-  // subtraction from n. The scalar path keeps the per-point counting pass.
+  // Counting sort into the CSR through fixed point blocks. Under k = chosen
+  // a point's ring is its kMax ring minus delta (clamped at ring 0) and its
+  // cell is its kMax cell >> delta. Block b counts its points per cell into
+  // its own cursor row; the serial prefix pass then starts block b's cursor
+  // for cell h at cellStart[h] plus the members of h in blocks 0..b-1, so
+  // the scatter lists every cell's members in increasing point index by
+  // construction, whatever the block count.
   const obs::TraceSpan csrSpan("csr_build", "grid", span.id());
   const std::size_t heapIds = out.grid.heapIdCount();
-  out.cellStart.assign(heapIds + 1, 0);
-  if (useKernels) {
-    for (int lvl = 0; lvl < delta; ++lvl) {
-      const std::uint64_t next = std::uint64_t{1} << (kMax - lvl);
-      for (std::uint64_t h = 1; h < next; ++h) {
-        countMax[static_cast<std::size_t>(h)] =
-            countMax[static_cast<std::size_t>(2 * h)] +
-            countMax[static_cast<std::size_t>(2 * h + 1)];
-      }
-    }
-    std::int64_t outerTotal = 0;
-    for (std::size_t h = 2; h < heapIds; ++h) {
-      out.cellStart[h + 1] = countMax[h];
-      outerTotal += countMax[h];
-    }
-    out.cellStart[2] = n - outerTotal;  // ring 0 lives at heap id 1
-  } else {
-    parallelFor(0, n, workers, [&](std::int64_t i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const int ring = std::max(0, ringMax[idx] - delta);
-      const std::uint64_t cell = ring == 0 ? 0 : (cellMax[idx] >> delta);
-      const std::uint64_t h = out.grid.heapId(ring, cell);
-      std::atomic_ref<std::int64_t>(
-          out.cellStart[static_cast<std::size_t>(h) + 1])
-          .fetch_add(1, std::memory_order_relaxed);
-    });
-  }
+  const auto chosenHeapId = [&](std::size_t i) -> std::size_t {
+    const int ring = ringMax[i] - delta;
+    return ring <= 0 ? 1
+                     : (std::size_t{1} << ring) +
+                           static_cast<std::size_t>(cellMax[i] >> delta);
+  };
+  const std::int64_t blocks = csrBlockCount(n, heapIds, workers);
+  std::span<std::int32_t> cursor = arena.alloc<std::int32_t>(
+      static_cast<std::size_t>(blocks) * heapIds);
+  const auto blockRow = [&](std::int64_t b) {
+    return cursor.subspan(static_cast<std::size_t>(b) * heapIds, heapIds);
+  };
+  const auto blockBegin = [&](std::int64_t b) {
+    return static_cast<std::size_t>(n * b / blocks);
+  };
+  parallelForChunks(
+      0, blocks, workers, [&](std::int64_t bLo, std::int64_t bHi, int) {
+        for (std::int64_t b = bLo; b < bHi; ++b) {
+          const std::span<std::int32_t> row = blockRow(b);
+          std::fill(row.begin(), row.end(), 0);
+          const std::size_t end = blockBegin(b + 1);
+          for (std::size_t i = blockBegin(b); i < end; ++i)
+            ++row[chosenHeapId(i)];
+        }
+      });
+  out.cellStart.resize(heapIds + 1);
+  std::int32_t next = 0;
   std::int64_t occupied = 0;
   for (std::size_t h = 0; h < heapIds; ++h) {
-    if (out.cellStart[h + 1] > 0) ++occupied;
-    out.cellStart[h + 1] += out.cellStart[h];
+    out.cellStart[h] = next;
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      std::int32_t& slot = cursor[static_cast<std::size_t>(b) * heapIds + h];
+      const std::int32_t members = slot;
+      slot = next;
+      next += members;
+    }
+    if (next > out.cellStart[h]) ++occupied;
   }
+  out.cellStart[heapIds] = next;
   out.occupiedCellCount = occupied;
   gridMetrics().occupiedCells.set(static_cast<double>(occupied));
 
-  // Scatter: derive the chosen-k ring/cell of every point and place it
-  // through its cell's atomic cursor in the same walk. The cursor
-  // entry is the one random access, so it gets a software prefetch from
-  // the cheap-to-recompute lookahead heap id.
   out.cellMembers.resize(points.size());
-  std::span<std::int64_t> cursor = arena.alloc<std::int64_t>(heapIds);
-  std::copy(out.cellStart.begin(), out.cellStart.end() - 1, cursor.begin());
-  parallelForChunks(0, n, workers, [&](std::int64_t lo, std::int64_t hi, int) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (i + 16 < hi) {
-        const auto ahead = static_cast<std::size_t>(i + 16);
-        const int ringAhead = std::max(0, ringMax[ahead] - delta);
-        const std::uint64_t cellAhead =
-            ringAhead == 0 ? 0 : (cellMax[ahead] >> delta);
-        __builtin_prefetch(
-            &cursor[static_cast<std::size_t>(
-                out.grid.heapId(ringAhead, cellAhead))],
-            1);
-      }
-      const int ring = std::max(0, ringMax[idx] - delta);
-      const std::uint64_t cell = ring == 0 ? 0 : (cellMax[idx] >> delta);
-      const std::uint64_t h = out.grid.heapId(ring, cell);
-      const std::int64_t pos =
-          std::atomic_ref<std::int64_t>(cursor[static_cast<std::size_t>(h)])
-              .fetch_add(1, std::memory_order_relaxed);
-      out.cellMembers[static_cast<std::size_t>(pos)] = static_cast<NodeId>(i);
-    }
-  });
   parallelForChunks(
-      0, static_cast<std::int64_t>(heapIds), workers,
-      [&](std::int64_t lo, std::int64_t hi, int) {
-        for (std::int64_t h = lo; h < hi; ++h) {
-          const auto hs = static_cast<std::size_t>(h);
-          std::sort(out.cellMembers.begin() + out.cellStart[hs],
-                    out.cellMembers.begin() + out.cellStart[hs + 1]);
+      0, blocks, workers, [&](std::int64_t bLo, std::int64_t bHi, int) {
+        for (std::int64_t b = bLo; b < bHi; ++b) {
+          const std::span<std::int32_t> row = blockRow(b);
+          const std::size_t end = blockBegin(b + 1);
+          for (std::size_t i = blockBegin(b); i < end; ++i)
+            out.cellMembers[static_cast<std::size_t>(row[chosenHeapId(i)]++)] =
+                static_cast<NodeId>(i);
         }
       });
 

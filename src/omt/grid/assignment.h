@@ -10,10 +10,13 @@
 // candidates, and every candidate's occupancy check comes from one
 // bottom-up OR-fold over the kMax occupancy bitmap (O(heapIds) total).
 //
-// All O(n) passes (polar conversion, classification, the counting-sort CSR
-// build) run chunked on the shared thread pool; the result is identical for
-// every worker count (see docs/performance.md for the determinism
-// contract).
+// All O(n) passes run on the shared thread pool: polar conversion and
+// classification in chunks, marking the kMax occupancy bitmap with
+// idempotent byte stores; the counting-sort CSR build in fixed, contiguous
+// point blocks, each counting and scattering through its own per-cell
+// cursors. No pass takes a per-point atomic read-modify-write or sorts a
+// cell afterwards, and the result is identical for every worker count (see
+// docs/performance.md for the determinism contract).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +44,7 @@ struct GridAssignment {
 
   /// CSR of point indices grouped by cell heap id:
   /// members of heap id h are cellMembers[cellStart[h] .. cellStart[h+1]),
-  /// in increasing point index.
+  /// in increasing point index (the block-ordered scatter's own order).
   std::vector<std::int64_t> cellStart;
   std::vector<NodeId> cellMembers;
 

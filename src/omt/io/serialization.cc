@@ -70,8 +70,9 @@ std::vector<Point> loadPoints(std::istream& in) {
   OMT_CHECK(n >= 1, "point count must be positive");
   OMT_CHECK(dim >= 1 && dim <= kMaxDim, "dimension out of range");
 
+  // Storage grows with the records actually read, never from the header's
+  // count, which a hostile or corrupt stream can set to anything.
   std::vector<Point> points;
-  points.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     OMT_CHECK(nextRecord(in, line),
               "truncated points stream at record " + std::to_string(i));
@@ -115,7 +116,11 @@ MulticastTree loadTree(std::istream& in) {
   OMT_CHECK(n >= 1, "node count must be positive");
   OMT_CHECK(root >= 0 && root < n, "root out of range");
 
-  MulticastTree tree(n, root);
+  // Read all n records before sizing the tree: its arrays follow the
+  // header's count, and a truncated stream must fail on its missing
+  // records, not on an allocation for records it never had.
+  std::vector<NodeId> parents;
+  std::vector<EdgeKind> kinds;
   for (NodeId v = 0; v < n; ++v) {
     OMT_CHECK(nextRecord(in, line),
               "truncated tree stream at node " + std::to_string(v));
@@ -127,11 +132,20 @@ MulticastTree loadTree(std::istream& in) {
     OMT_CHECK(kind == 0 || kind == 1, "unknown edge kind");
     if (v == root) {
       OMT_CHECK(parent == kNoNode, "root must have parent -1");
-      continue;
+    } else {
+      OMT_CHECK(parent >= 0 && parent < n,
+                "parent out of range at node " + std::to_string(v));
+      OMT_CHECK(parent != v, "self-loop");
     }
-    OMT_CHECK(parent >= 0 && parent < n,
-              "parent out of range at node " + std::to_string(v));
-    tree.attach(v, parent, kind == 0 ? EdgeKind::kCore : EdgeKind::kLocal);
+    parents.push_back(parent);
+    kinds.push_back(kind == 0 ? EdgeKind::kCore : EdgeKind::kLocal);
+  }
+
+  MulticastTree tree(n, root);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v == root) continue;
+    tree.attach(v, parents[static_cast<std::size_t>(v)],
+                kinds[static_cast<std::size_t>(v)]);
   }
   tree.finalize();
   return tree;
@@ -166,8 +180,7 @@ LoadedSessionSnapshot loadSessionSnapshot(std::istream& in) {
   OMT_CHECK(version == kFormatVersion, "unsupported session format version");
   OMT_CHECK(n >= 1, "session host count must be positive");
 
-  std::vector<NodeId> sessionIds;
-  sessionIds.reserve(static_cast<std::size_t>(n));
+  std::vector<NodeId> sessionIds;  // grows with the records read
   for (std::int64_t i = 0; i < n; ++i) {
     OMT_CHECK(nextRecord(in, line),
               "truncated session stream at id " + std::to_string(i));

@@ -2,12 +2,21 @@
 
 namespace omt {
 
+namespace {
+
+/// The node count as an array size, checked before any array is sized.
+std::size_t checkedNodeCount(NodeId nodeCount) {
+  OMT_CHECK(nodeCount >= 1, "tree needs at least one node");
+  return static_cast<std::size_t>(nodeCount);
+}
+
+}  // namespace
+
 MulticastTree::MulticastTree(NodeId nodeCount, NodeId root)
     : root_(root),
-      parent_(static_cast<std::size_t>(nodeCount), kNoNode),
+      parent_(checkedNodeCount(nodeCount), kNoNode),
       kind_(static_cast<std::size_t>(nodeCount), EdgeKind::kLocal),
       outDegree_(static_cast<std::size_t>(nodeCount), 0) {
-  OMT_CHECK(nodeCount >= 1, "tree needs at least one node");
   OMT_CHECK(root >= 0 && root < nodeCount, "root out of range");
 }
 
@@ -36,36 +45,63 @@ EdgeKind MulticastTree::edgeKindOf(NodeId node) const {
 }
 
 void MulticastTree::finalize() {
+  // attach() keeps outDegree_ equal to the child count, so the CSR offsets
+  // are its prefix sum. childOffset_[v] first holds the END of v's children;
+  // the scatter walks v downwards and pre-decrements, which lists each
+  // node's children in increasing id and leaves childOffset_[v] at their
+  // start, with no cursor copy.
   const std::size_t n = parent_.size();
+  childOffset_.resize(n + 1);
+  std::int64_t total = 0;
   for (std::size_t v = 0; v < n; ++v) {
     OMT_CHECK(parent_[v] != kNoNode || static_cast<NodeId>(v) == root_,
               "finalize() with unattached nodes");
+    total += outDegree_[v];
+    childOffset_[v] = total;
   }
+  childOffset_[n] = total;
 
-  childOffset_.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (static_cast<NodeId>(v) == root_) continue;
-    ++childOffset_[static_cast<std::size_t>(parent_[v]) + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) childOffset_[v + 1] += childOffset_[v];
-
-  childList_.assign(n - 1, kNoNode);
-  std::vector<std::int64_t> cursor(childOffset_.begin(),
-                                   childOffset_.end() - 1);
-  for (std::size_t v = 0; v < n; ++v) {
+  // Two-stage prefetch: the offset entry of the parent kAhead nodes ahead,
+  // then the child slot of the parent kAhead / 2 ahead (an estimate; a
+  // sibling in between moves it by a slot or two).
+  constexpr std::size_t kAhead = 16;
+  childList_.resize(n - 1);
+  for (std::size_t v = n; v-- > 0;) {
+    if (v >= kAhead) {
+      const NodeId far = parent_[v - kAhead];
+      const NodeId near = parent_[v - kAhead / 2];
+      if (far != kNoNode)
+        __builtin_prefetch(&childOffset_[static_cast<std::size_t>(far)], 1);
+      if (near != kNoNode) {
+        __builtin_prefetch(
+            childList_.data() + childOffset_[static_cast<std::size_t>(near)],
+            1);
+      }
+    }
     if (static_cast<NodeId>(v) == root_) continue;
     childList_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(parent_[v])]++)] =
+        --childOffset_[static_cast<std::size_t>(parent_[v])])] =
         static_cast<NodeId>(v);
   }
 
   // BFS from the root; if the parent links contain a cycle, some nodes are
   // unreachable and bfsOrder_ ends up shorter than n — validation reports
-  // that as a broken tree rather than this method looping forever.
+  // that as a broken tree rather than this method looping forever. The
+  // queue is bfsOrder_ itself, so nodes kAhead slots on are already known
+  // while their offsets and child ranges are still cold.
   bfsOrder_.clear();
   bfsOrder_.reserve(n);
   bfsOrder_.push_back(root_);
   for (std::size_t head = 0; head < bfsOrder_.size(); ++head) {
+    if (head + kAhead < bfsOrder_.size()) {
+      __builtin_prefetch(
+          &childOffset_[static_cast<std::size_t>(bfsOrder_[head + kAhead])]);
+    }
+    if (head + kAhead / 2 < bfsOrder_.size()) {
+      __builtin_prefetch(
+          childList_.data() +
+          childOffset_[static_cast<std::size_t>(bfsOrder_[head + kAhead / 2])]);
+    }
     const NodeId v = bfsOrder_[head];
     const auto begin = childOffset_[static_cast<std::size_t>(v)];
     const auto end = childOffset_[static_cast<std::size_t>(v) + 1];

@@ -82,7 +82,9 @@ TEST(FaultChaosTest, LosslessRunHasNoFalsePositivesAndEndsHealed) {
   EXPECT_EQ(result.silentLeaves, 0);
   EXPECT_EQ(result.droppedJoins, 0);
   EXPECT_GT(result.repairs, 0);
-  if (result.repairedOrphans > 0) EXPECT_GT(result.backupHits, 0);
+  if (result.repairedOrphans > 0) {
+    EXPECT_GT(result.backupHits, 0);
+  }
 }
 
 TEST(FaultChaosTest, HeavyLossDegradesOperationsButNeverBreaksInvariants) {

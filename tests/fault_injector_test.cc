@@ -37,7 +37,9 @@ TEST(FaultInjectorTest, EventsSortedAndEntitiesJoinInIdOrder) {
   std::int64_t lastJoinEntity = -1;
   std::vector<std::uint8_t> joined;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_GE(events[i].time, events[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(events[i].time, events[i - 1].time);
+    }
     EXPECT_LT(events[i].time, options.duration);
     if (events[i].kind == FaultEventKind::kJoin) {
       EXPECT_EQ(events[i].entity, lastJoinEntity + 1)

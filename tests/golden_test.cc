@@ -6,6 +6,7 @@
 // the constants (and note it in the change description).
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -197,6 +198,72 @@ TEST(GoldenTest, ConstructionAtScale) {
                     static_cast<unsigned long long>(got));
       EXPECT_EQ(got, c.fingerprint)
           << describe(c) << " workers=" << workers << " got " << hex;
+    }
+  }
+}
+
+/// FNV-1a over every node's child list (its length, then its ids in
+/// childrenOf() order) and, separately, over bfsOrder(): the orders the
+/// simulators, the reliability model and the data-plane engine iterate,
+/// which fullFingerprint does not see.
+struct OrderFingerprint {
+  std::uint64_t children;
+  std::uint64_t bfs;
+};
+
+OrderFingerprint orderFingerprint(const MulticastTree& tree) {
+  const auto mix = [](std::uint64_t& hash, std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (x >> (8 * b)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  };
+  OrderFingerprint out{1469598103934665603ULL, 1469598103934665603ULL};
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    const std::span<const NodeId> children = tree.childrenOf(v);
+    mix(out.children, children.size());
+    for (const NodeId c : children)
+      mix(out.children, static_cast<std::uint64_t>(c));
+  }
+  mix(out.bfs, tree.bfsOrder().size());
+  for (const NodeId v : tree.bfsOrder())
+    mix(out.bfs, static_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Child order and BFS order of Polar_Grid trees at n = 300,000, where the
+/// grid CSR spans several point blocks, at one and three workers.
+TEST(GoldenTest, ChildAndBfsOrderAtScale) {
+  struct OrderCase {
+    int dim;
+    int degree;
+    std::uint64_t children;
+    std::uint64_t bfs;
+  };
+  const OrderCase cases[] = {
+      {2, 6, 0x3216d8ffdd13b394ULL, 0xe3571311032d4306ULL},
+      {2, 2, 0xba8e911a0a511070ULL, 0x6ef3a1e295eb5666ULL},
+      {3, 10, 0x65c7945839713642ULL, 0x59e794eec3a5cd1eULL},
+  };
+  for (const OrderCase& c : cases) {
+    Rng rng(0x0de40000ULL + static_cast<std::uint64_t>(c.dim));
+    const std::vector<Point> points =
+        sampleDiskWithCenterSource(rng, 300000, c.dim);
+    for (const int workers : {1, 3}) {
+      const OrderFingerprint got = orderFingerprint(
+          buildPolarGridTree(points, 0,
+                             {.maxOutDegree = c.degree, .workers = workers})
+              .tree);
+      char hex[64];
+      std::snprintf(hex, sizeof hex, "0x%016llx 0x%016llx",
+                    static_cast<unsigned long long>(got.children),
+                    static_cast<unsigned long long>(got.bfs));
+      EXPECT_EQ(got.children, c.children)
+          << "d=" << c.dim << " D=" << c.degree << " workers=" << workers
+          << " got " << hex;
+      EXPECT_EQ(got.bfs, c.bfs)
+          << "d=" << c.dim << " D=" << c.degree << " workers=" << workers
+          << " got " << hex;
     }
   }
 }

@@ -277,22 +277,42 @@ TEST(AssignmentTest, KSelectionMatchesBruteForceOnSparseSets) {
 
 TEST(AssignmentTest, ParallelAssignmentMatchesSequential) {
   Rng rng(53);
-  for (const int dim : {2, 3}) {
-    const auto points = sampleDiskWithCenterSource(rng, 20000, dim);
-    AssignmentOptions sequential;
-    sequential.workers = 1;
-    const GridAssignment want = assignToGrid(points, 0, sequential);
-    for (const int workers : {2, 7, 16}) {
-      AssignmentOptions options;
-      options.workers = workers;
-      const GridAssignment got = assignToGrid(points, 0, options);
-      EXPECT_EQ(got.grid.rings(), want.grid.rings());
-      EXPECT_DOUBLE_EQ(got.grid.outerRadius(), want.grid.outerRadius());
-      EXPECT_EQ(got.cellStart, want.cellStart);
-      EXPECT_EQ(got.cellMembers, want.cellMembers);
-      EXPECT_EQ(heapIdOfEachPoint(got), heapIdOfEachPoint(want));
-      EXPECT_EQ(got.packedPolar, want.packedPolar);
-      EXPECT_EQ(got.occupiedCells(), want.occupiedCells());
+  // n = 300,000 spreads the CSR build over several point blocks at every
+  // worker count.
+  for (const std::int64_t n : {20000, 300000}) {
+    for (const int dim : {2, 3}) {
+      const auto points = sampleDiskWithCenterSource(rng, n, dim);
+      AssignmentOptions sequential;
+      sequential.workers = 1;
+      const GridAssignment want = assignToGrid(points, 0, sequential);
+      // Increasing index within every cell plus each point's own cell pin
+      // the whole CSR, whatever block count built it.
+      for (std::uint64_t h = 1; h < want.grid.heapIdCount(); ++h) {
+        const auto members = want.membersOf(h);
+        ASSERT_TRUE(std::is_sorted(members.begin(), members.end()))
+            << "n=" << n << " dim=" << dim << " h=" << h;
+      }
+      const std::vector<std::uint64_t> wantIds = heapIdOfEachPoint(want);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const PolarCoords polar = toPolar(points[i], points[0]);
+        const int ring = want.grid.ringOf(
+            std::min(polar.radius, want.grid.outerRadius()));
+        ASSERT_EQ(wantIds[i],
+                  want.grid.heapId(ring, want.grid.cellOf(polar, ring)))
+            << "n=" << n << " dim=" << dim << " i=" << i;
+      }
+      for (const int workers : {2, 7, 16}) {
+        AssignmentOptions options;
+        options.workers = workers;
+        const GridAssignment got = assignToGrid(points, 0, options);
+        EXPECT_EQ(got.grid.rings(), want.grid.rings());
+        EXPECT_DOUBLE_EQ(got.grid.outerRadius(), want.grid.outerRadius());
+        EXPECT_EQ(got.cellStart, want.cellStart);
+        EXPECT_EQ(got.cellMembers, want.cellMembers);
+        EXPECT_EQ(heapIdOfEachPoint(got), wantIds);
+        EXPECT_EQ(got.packedPolar, want.packedPolar);
+        EXPECT_EQ(got.occupiedCells(), want.occupiedCells());
+      }
     }
   }
 }

@@ -47,6 +47,13 @@ TEST(PointsIoTest, RejectsMalformedInput) {
   EXPECT_THROW(load("omt-points 1 1 2\n0 abc\n"), InvalidArgument);
 }
 
+TEST(PointsIoTest, HugeHeaderCountIsTruncationNotAllocation) {
+  // 2^40 points would take 72 TiB; two records must end in the typed
+  // truncation error, not in an allocation sized from the header.
+  std::stringstream stream("omt-points 1 1099511627776 2\n0 0\n1 1\n");
+  EXPECT_THROW(loadPoints(stream), InvalidArgument);
+}
+
 TEST(PointsIoTest, RefusesEmptySave) {
   std::stringstream stream;
   EXPECT_THROW(savePoints(stream, {}), InvalidArgument);
@@ -81,6 +88,14 @@ TEST(TreeIoTest, RejectsMalformedInput) {
   EXPECT_THROW(load("omt-tree 1 2 0\n-1 1\n7 1\n"), InvalidArgument);  // range
   EXPECT_THROW(load("omt-tree 1 2 0\n-1 1\n0 9\n"), InvalidArgument);  // kind
   EXPECT_THROW(load("omt-tree 1 3 0\n-1 1\n0 1\n"), InvalidArgument);  // short
+  EXPECT_THROW(load("omt-tree 1 2 0\n-1 1\n1 1\n"), InvalidArgument);  // self
+}
+
+TEST(TreeIoTest, HugeHeaderCountIsTruncationNotAllocation) {
+  // A tree of 2^40 nodes would take about 18 TiB; the loader must read the
+  // records before it sizes the tree.
+  std::stringstream stream("omt-tree 1 1099511627776 0\n-1 1\n0 1\n");
+  EXPECT_THROW(loadTree(stream), InvalidArgument);
 }
 
 TEST(TreeIoTest, LoadedCycleFailsValidationNotLoading) {
@@ -188,6 +203,11 @@ TEST(SessionIoTest, RejectsMalformedInput) {
   EXPECT_THROW(load("omt-session 1 1\n0\nomt-tree 1 1 0\n-1 1\n"
                     "omt-points 1 2 2\n0 0\n1 1\n"),
                InvalidArgument);  // points count disagrees with n
+}
+
+TEST(SessionIoTest, HugeHeaderCountIsTruncationNotAllocation) {
+  std::stringstream stream("omt-session 1 1099511627776\n5\n6\n");
+  EXPECT_THROW(loadSessionSnapshot(stream), InvalidArgument);
 }
 
 /// FNV-1a over the snapshot's structural content (session ids, parents in

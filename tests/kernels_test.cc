@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -321,6 +322,45 @@ TEST(KernelsAssignmentTest, AssignToGridIdenticalWithKernelsOnAndOff) {
         ASSERT_EQ(bits(onPolar.cube[static_cast<std::size_t>(j)]),
                   bits(offPolar.cube[static_cast<std::size_t>(j)]))
             << "d=" << d << " i=" << i << " axis=" << j;
+    }
+  }
+}
+
+/// n = 300,000 spreads the CSR build over several point blocks: the
+/// scalar and kernel paths share it, and must agree at every worker count.
+TEST(KernelsAssignmentTest, ParallelMultiBlockIdenticalWithKernelsOnAndOff) {
+  for (const int d : {2, 3}) {
+    Rng rng(0x5eed0500 + static_cast<std::uint64_t>(d));
+    const std::vector<Point> points =
+        sampleDiskWithCenterSource(rng, 300000, d);
+    const GridAssignment want = [&] {
+      KernelToggle toggle(true);
+      return assignToGrid(points, 0, {.workers = 1});
+    }();
+    const std::vector<std::uint64_t> wantIds = heapIdOfEachPoint(want);
+    for (const bool kernelsOn : {true, false}) {
+      for (const int workers : {1, 2, 7, 16}) {
+        if (kernelsOn && workers == 1) continue;
+        const GridAssignment got = [&] {
+          KernelToggle toggle(kernelsOn);
+          return assignToGrid(points, 0, {.workers = workers});
+        }();
+        ASSERT_EQ(got.grid.rings(), want.grid.rings()) << "d=" << d;
+        ASSERT_EQ(bits(got.grid.outerRadius()), bits(want.grid.outerRadius()));
+        EXPECT_EQ(got.cellStart, want.cellStart)
+            << "d=" << d << " kernels=" << kernelsOn << " workers=" << workers;
+        EXPECT_EQ(got.cellMembers, want.cellMembers)
+            << "d=" << d << " kernels=" << kernelsOn << " workers=" << workers;
+        EXPECT_EQ(heapIdOfEachPoint(got), wantIds)
+            << "d=" << d << " kernels=" << kernelsOn << " workers=" << workers;
+        // Bitwise: packed doubles compared as bytes, so -0.0 and NaN
+        // payloads count too.
+        ASSERT_EQ(got.packedPolar.size(), want.packedPolar.size());
+        EXPECT_EQ(std::memcmp(got.packedPolar.data(), want.packedPolar.data(),
+                              want.packedPolar.size() * sizeof(double)),
+                  0)
+            << "d=" << d << " kernels=" << kernelsOn << " workers=" << workers;
+      }
     }
   }
 }

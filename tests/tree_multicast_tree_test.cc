@@ -1,5 +1,7 @@
 #include "omt/tree/multicast_tree.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace omt {
@@ -102,6 +104,14 @@ TEST(MulticastTreeTest, ConstructionErrors) {
   EXPECT_THROW(MulticastTree(0, 0), InvalidArgument);
   EXPECT_THROW(MulticastTree(3, 3), InvalidArgument);
   EXPECT_THROW(MulticastTree(3, -1), InvalidArgument);
+}
+
+TEST(MulticastTreeTest, NegativeNodeCountRejectedBeforeSizing) {
+  // A negative count cast to an array size would ask for ~2^64 elements;
+  // the typed error must come first.
+  EXPECT_THROW(MulticastTree(-1, 0), InvalidArgument);
+  EXPECT_THROW(MulticastTree(std::numeric_limits<NodeId>::min(), 0),
+               InvalidArgument);
 }
 
 TEST(MulticastTreeTest, CycleAmongParentsYieldsShortBfs) {
