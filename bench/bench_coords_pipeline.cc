@@ -19,7 +19,6 @@
 #include "omt/coords/embedding.h"
 #include "omt/geometry/sin_power_integral.h"
 #include "omt/grid/polar_grid.h"
-#include "omt/kernels/kernels.h"
 #include "omt/kernels/polar_batch.h"
 #include "omt/kernels/sin_power_table.h"
 #include "omt/parallel/scratch_arena.h"

@@ -10,7 +10,6 @@
 
 #include "omt/common/error.h"
 #include "omt/geometry/bounding.h"
-#include "omt/kernels/kernels.h"
 #include "omt/kernels/polar_batch.h"
 #include "omt/obs/metrics.h"
 #include "omt/obs/trace.h"
@@ -297,29 +296,20 @@ BisectionTreeResult buildBisectionTree(std::span<const Point> points,
 
   std::vector<PolarCoords> polar(points.size());
   const int workers = resolveWorkers(options.workers);
-  if (kernels::enabled()) {
-    // Batched conversion produces the same doubles as per-point toPolar.
-    parallelForChunks(0, n, workers,
-                      [&](std::int64_t lo, std::int64_t hi, int) {
-                        ScratchArena& arena = workerArena();
-                        ScratchArena::Scope scope(arena);
-                        const auto ulo = static_cast<std::size_t>(lo);
-                        const auto len = static_cast<std::size_t>(hi - lo);
-                        kernels::PolarLanes lanes;
-                        lanes.radius = arena.alloc<double>(len);
-                        for (int j = 0; j < d - 1; ++j)
-                          lanes.cube[static_cast<std::size_t>(j)] =
-                              arena.alloc<double>(len);
-                        kernels::polarOfPointsBatch(
-                            points.subspan(ulo, len), result.ringCenter, lanes,
-                            std::span<PolarCoords>(polar).subspan(ulo, len));
-                      });
-  } else {
-    parallelFor(0, n, workers, [&](std::int64_t i) {
-      const auto idx = static_cast<std::size_t>(i);
-      polar[idx] = toPolar(points[idx], result.ringCenter);
-    });
-  }
+  // Batched conversion: the same doubles as per-point toPolar.
+  parallelForChunks(0, n, workers, [&](std::int64_t lo, std::int64_t hi, int) {
+    ScratchArena& arena = workerArena();
+    ScratchArena::Scope scope(arena);
+    const auto ulo = static_cast<std::size_t>(lo);
+    const auto len = static_cast<std::size_t>(hi - lo);
+    kernels::PolarLanes lanes;
+    lanes.radius = arena.alloc<double>(len);
+    for (int j = 0; j < d - 1; ++j)
+      lanes.cube[static_cast<std::size_t>(j)] = arena.alloc<double>(len);
+    kernels::polarOfPointsBatch(
+        points.subspan(ulo, len), result.ringCenter, lanes,
+        std::span<PolarCoords>(polar).subspan(ulo, len));
+  });
 
   // Every point but the source, in index order; the source's polar entry
   // is erased in place rather than copying the rest.

@@ -1,14 +1,12 @@
 #include "omt/core/polar_grid_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "omt/bisection/bisection.h"
 #include "omt/common/error.h"
 #include "omt/core/bounds.h"
 #include "omt/grid/assignment.h"
-#include "omt/kernels/kernels.h"
 #include "omt/kernels/polar_batch.h"
 #include "omt/tree/metrics.h"
 #include "omt/obs/metrics.h"
@@ -62,29 +60,6 @@ std::size_t argMinDistanceTo(std::span<const NodeId> candidates,
     }
   }
   return best;
-}
-
-/// Cartesian midpoint of a cell's inner or outer boundary arc (radius
-/// r_{ring-1} or r_ring, angular center), in the grid's frame about
-/// `origin`. The inner-arc center anchors cell representatives (the paper
-/// picks the point "closest to the center on the inner arc of the
-/// segment"); the outer-arc center is where next-ring relays aim, since
-/// the two child representatives sit on the cell's outer boundary.
-Point cellArcMid(const PolarGrid& grid, int ring, std::uint64_t cell,
-                 const Point& origin, bool outer) {
-  const RingSegment segment = grid.cellSegment(ring, cell);
-  PolarCoords mid;
-  mid.dim = grid.dim();
-  mid.radius = outer ? segment.radial().hi : segment.radial().lo;
-  for (int j = 0; j < segment.cubeAxes(); ++j) {
-    double m = segment.cubeAxis(j).mid();
-    if (j == azimuthAxis(grid.dim())) m -= std::floor(m);  // wrap into [0,1)
-    mid.cube[static_cast<std::size_t>(j)] = m;
-  }
-  // The table-seeded inversion returns the same doubles as the scalar one,
-  // so both branches yield bitwise-identical points.
-  return kernels::enabled() ? kernels::fromPolarTabled(mid, origin)
-                            : fromPolar(mid, origin);
 }
 
 void removeAt(std::vector<NodeId>& v, std::size_t pos) {
@@ -144,64 +119,43 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
   const std::uint64_t heapIds = grid.heapIdCount();
   std::vector<NodeId> rep(heapIds, kNoNode);
   obs::TraceSpan repsSpan("stage2a_representatives", "core", span.id());
-  if (kernels::enabled()) {
-    // Batched variant: gather the chunk's occupied cells, build their
-    // inner-arc midpoints in SoA lanes on the worker's arena, and run one
-    // angularCubeBatch per chunk (table-seeded sin^k inversions) instead
-    // of a scalar fromPolar per cell. Same doubles, same representatives.
-    parallelForChunks(
-        1, static_cast<std::int64_t>(heapIds), workers,
-        [&](std::int64_t lo, std::int64_t hi, int) {
-          ScratchArena& arena = workerArena();
-          ScratchArena::Scope scope(arena);
-          const auto chunkSize = static_cast<std::size_t>(hi - lo);
-          std::span<std::uint64_t> ids = arena.alloc<std::uint64_t>(chunkSize);
-          std::size_t occupied = 0;
-          for (std::int64_t hh = lo; hh < hi; ++hh) {
-            const auto h = static_cast<std::uint64_t>(hh);
-            if (!assignment.membersOf(h).empty()) ids[occupied++] = h;
-          }
-          if (occupied == 0) return;
-          kernels::PolarLanes mids;
-          mids.radius = arena.alloc<double>(occupied);
+  // Each chunk gathers its occupied cells, builds their inner-arc
+  // midpoints in SoA lanes on the worker's arena, and converts them with
+  // one angularCubeBatch (table-seeded sin^k inversions).
+  parallelForChunks(
+      1, static_cast<std::int64_t>(heapIds), workers,
+      [&](std::int64_t lo, std::int64_t hi, int) {
+        ScratchArena& arena = workerArena();
+        ScratchArena::Scope scope(arena);
+        const auto chunkSize = static_cast<std::size_t>(hi - lo);
+        std::span<std::uint64_t> ids = arena.alloc<std::uint64_t>(chunkSize);
+        std::size_t occupied = 0;
+        for (std::int64_t hh = lo; hh < hi; ++hh) {
+          const auto h = static_cast<std::uint64_t>(hh);
+          if (!assignment.membersOf(h).empty()) ids[occupied++] = h;
+        }
+        if (occupied == 0) return;
+        kernels::PolarLanes mids;
+        mids.radius = arena.alloc<double>(occupied);
+        for (int j = 0; j < d - 1; ++j)
+          mids.cube[static_cast<std::size_t>(j)] = arena.alloc<double>(occupied);
+        for (std::size_t idx = 0; idx < occupied; ++idx) {
+          const std::uint64_t h = ids[idx];
+          const PolarCoords mid = grid.arcMidpoint(
+              grid.ringOfHeapId(h), grid.cellOfHeapId(h), /*outer=*/false);
+          mids.radius[idx] = mid.radius;
           for (int j = 0; j < d - 1; ++j)
-            mids.cube[static_cast<std::size_t>(j)] =
-                arena.alloc<double>(occupied);
-          for (std::size_t idx = 0; idx < occupied; ++idx) {
-            const std::uint64_t h = ids[idx];
-            const int ring = grid.ringOfHeapId(h);
-            const RingSegment segment =
-                grid.cellSegment(ring, grid.cellOfHeapId(h));
-            mids.radius[idx] = segment.radial().lo;
-            for (int j = 0; j < segment.cubeAxes(); ++j) {
-              double m = segment.cubeAxis(j).mid();
-              if (j == azimuthAxis(d)) m -= std::floor(m);  // wrap into [0,1)
-              mids.cube[static_cast<std::size_t>(j)][idx] = m;
-            }
-          }
-          std::span<Point> innerMid = arena.alloc<Point>(occupied);
-          kernels::angularCubeBatch(d, origin, mids.radius, mids, innerMid);
-          for (std::size_t idx = 0; idx < occupied; ++idx) {
-            const std::uint64_t h = ids[idx];
-            const auto members = assignment.membersOf(h);
-            rep[h] = members[argMinDistanceTo(members, points, innerMid[idx])];
-          }
-        });
-  } else {
-    parallelForChunks(
-        1, static_cast<std::int64_t>(heapIds), workers,
-        [&](std::int64_t lo, std::int64_t hi, int) {
-          for (std::int64_t hh = lo; hh < hi; ++hh) {
-            const auto h = static_cast<std::uint64_t>(hh);
-            const auto members = assignment.membersOf(h);
-            if (members.empty()) continue;
-            const int ring = grid.ringOfHeapId(h);
-            const Point innerMid = cellArcMid(grid, ring, grid.cellOfHeapId(h),
-                                              origin, /*outer=*/false);
-            rep[h] = members[argMinDistanceTo(members, points, innerMid)];
-          }
-        });
-  }
+            mids.cube[static_cast<std::size_t>(j)][idx] =
+                mid.cube[static_cast<std::size_t>(j)];
+        }
+        std::span<Point> innerMid = arena.alloc<Point>(occupied);
+        kernels::angularCubeBatch(d, origin, mids.radius, mids, innerMid);
+        for (std::size_t idx = 0; idx < occupied; ++idx) {
+          const std::uint64_t h = ids[idx];
+          const auto members = assignment.membersOf(h);
+          rep[h] = members[argMinDistanceTo(members, points, innerMid[idx])];
+        }
+      });
   rep[1] = source;
   repsSpan.end();
 
@@ -264,8 +218,8 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
             for (int c = 0; c < childCount; ++c) attachCore(childReps[c], cellRep);
           } else if (degree == 3) {
             if (childCount > 0 && !locals.empty()) {
-              const Point outerMid =
-                  cellArcMid(grid, ring, cell, origin, /*outer=*/true);
+              const Point outerMid = kernels::fromPolarTabled(
+                  grid.arcMidpoint(ring, cell, /*outer=*/true), origin);
               const std::size_t tPos = argMinDistanceTo(locals, points, outerMid);
               const NodeId relay = locals[tPos];
               removeAt(locals, tPos);
@@ -290,8 +244,8 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
             } else {
               // Case 3: one special point relays to the next ring, another is
               // the center for connecting the rest of the cell.
-              const Point outerMid =
-                  cellArcMid(grid, ring, cell, origin, /*outer=*/true);
+              const Point outerMid = kernels::fromPolarTabled(
+                  grid.arcMidpoint(ring, cell, /*outer=*/true), origin);
               const std::size_t tPos = argMinDistanceTo(locals, points, outerMid);
               const NodeId relay = locals[tPos];
               removeAt(locals, tPos);

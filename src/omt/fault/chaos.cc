@@ -67,7 +67,7 @@ class ChaosRun {
     if (options.useRpc) {
       std::vector<DisruptionWindow> windows;
       if (options.injectDisruption)
-        windows = generateDisruption(options.disruption);
+        windows = generateDisruption(options.disruption, options.schedule.dim);
       result_.disruptionWindows = static_cast<std::int64_t>(windows.size());
       rpc_ = std::make_unique<RpcLayer>(
           options.rpc, DisruptionSchedule(std::move(windows)),

@@ -137,10 +137,9 @@ std::vector<FaultEvent> generateFaultSchedule(
 }
 
 std::vector<DisruptionWindow> generateDisruption(
-    const DisruptionOptions& options) {
+    const DisruptionOptions& options, int dim) {
   OMT_CHECK(options.duration > 0.0, "duration must be positive");
-  OMT_CHECK(options.dim >= 2 && options.dim <= kMaxDim,
-            "dimension out of range");
+  OMT_CHECK(dim >= 2 && dim <= kMaxDim, "dimension out of range");
   OMT_CHECK(options.partitionRate >= 0.0,
             "partition rate must be non-negative");
   OMT_CHECK(options.partitionRadius > 0.0 || options.partitionRate == 0.0,
@@ -173,7 +172,7 @@ std::vector<DisruptionWindow> generateDisruption(
       w.end = std::min(options.duration,
                        now + exponential(rng, options.partitionMeanLength));
       w.partition = true;
-      w.center = sampleUnitBall(rng, options.dim);
+      w.center = sampleUnitBall(rng, dim);
       w.radius = options.partitionRadius;
       windows.push_back(w);
     }

@@ -76,7 +76,6 @@ std::vector<FaultEvent> generateFaultSchedule(
 
 struct DisruptionOptions {
   double duration = 60.0;  ///< schedule length in time units
-  int dim = 2;             ///< partition centers in the unit ball
   std::uint64_t seed = 1;
 
   // Regional control-plane partitions.
@@ -96,9 +95,11 @@ struct DisruptionOptions {
 };
 
 /// Generate a start-time-sorted set of disruption windows. Window lengths
-/// are exponential with the configured means, truncated at `duration`.
-/// Deterministic in the options.
+/// are exponential with the configured means, truncated at `duration`;
+/// partition centres are drawn in the unit ball of dimension `dim`, which
+/// must be the dimension of the host positions the windows are tested
+/// against. Deterministic in the options and `dim`.
 std::vector<DisruptionWindow> generateDisruption(
-    const DisruptionOptions& options);
+    const DisruptionOptions& options, int dim);
 
 }  // namespace omt

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "omt/common/error.h"
-#include "omt/kernels/kernels.h"
 #include "omt/kernels/polar_batch.h"
 #include "omt/obs/metrics.h"
 #include "omt/obs/trace.h"
@@ -103,18 +102,6 @@ const kernels::ClassifyTable& workerClassifyTable(
   return cache.table;
 }
 
-/// Point i's entry of a packed polar store (dim doubles per point).
-PolarCoords unpackPolar(std::span<const double> packed, int dim,
-                        std::size_t i) {
-  const double* p = packed.data() + i * static_cast<std::size_t>(dim);
-  PolarCoords polar;
-  polar.dim = dim;
-  polar.radius = p[0];
-  for (int j = 0; j < dim - 1; ++j)
-    polar.cube[static_cast<std::size_t>(j)] = p[1 + j];
-  return polar;
-}
-
 constexpr std::int64_t kMinBlockPoints = 65536;
 constexpr std::int64_t kBlocksPerWorker = 4;
 
@@ -137,7 +124,15 @@ std::int64_t csrBlockCount(std::int64_t n, std::size_t heapIds, int workers) {
 }  // namespace
 
 PolarCoords GridAssignment::polarOf(NodeId i) const {
-  return unpackPolar(packedPolar, grid.dim(), static_cast<std::size_t>(i));
+  const int dim = grid.dim();
+  const double* p = packedPolar.data() +
+                    static_cast<std::size_t>(i) * static_cast<std::size_t>(dim);
+  PolarCoords polar;
+  polar.dim = dim;
+  polar.radius = p[0];
+  for (int j = 0; j < dim - 1; ++j)
+    polar.cube[static_cast<std::size_t>(j)] = p[1 + j];
+  return polar;
 }
 
 std::int64_t GridAssignment::occupiedCells() const {
@@ -181,7 +176,6 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   gridMetrics().points.add(n);
 
   const Point& origin = points[static_cast<std::size_t>(source)];
-  const bool useKernels = kernels::enabled();
 
   // Build-lifetime scratch: classification intermediates come from the
   // caller thread's arena, so repeated builds stop reallocating them
@@ -193,52 +187,26 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   const auto ud = static_cast<std::size_t>(d);
   std::vector<double> packed(un * ud);
   std::vector<double> slotMax(slots, 0.0);
-  double maxRadius = 0.0;
-  double outerRadius = 0.0;
 
-  // Outer radius R. The fused kernel path classifies during the polar walk,
-  // which needs the ring radii — so when R is not supplied it runs a
-  // radius-only prepass (one max reduction, no stores) instead of spilling
-  // full polar lanes. The scalar path keeps its legacy shape: full polar
-  // pass first, R from its max.
+  // Outer radius R. The fused pass below classifies during the polar walk,
+  // which needs the ring radii, so when R is not supplied a radius-only
+  // prepass (one max reduction, no stores) finds it first.
   obs::TraceSpan polarSpan("polar_pass", "grid", span.id());
-  if (useKernels) {
-    if (options.outerRadius.has_value()) {
-      outerRadius = *options.outerRadius;
-    } else {
-      parallelForChunks(
-          0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
-            const double chunkMax = kernels::radiusMaxBatch(
-                points.subspan(static_cast<std::size_t>(lo),
-                               static_cast<std::size_t>(hi - lo)),
-                origin);
-            auto& localMax = slotMax[static_cast<std::size_t>(slot)];
-            localMax = std::max(localMax, chunkMax);
-          });
-      for (const double m : slotMax) outerRadius = std::max(outerRadius, m);
-      std::fill(slotMax.begin(), slotMax.end(), 0.0);
-    }
+  double outerRadius = 0.0;
+  if (options.outerRadius.has_value()) {
+    outerRadius = *options.outerRadius;
   } else {
-    parallelForChunks(0, n, workers,
-                      [&](std::int64_t lo, std::int64_t hi, int slot) {
-                        double localMax = slotMax[static_cast<std::size_t>(slot)];
-                        for (std::int64_t i = lo; i < hi; ++i) {
-                          const auto idx = static_cast<std::size_t>(i);
-                          OMT_CHECK(points[idx].dim() == d,
-                                    "mixed dimensions in point set");
-                          const PolarCoords polar =
-                              toPolar(points[idx], origin);
-                          double* dst = packed.data() + idx * ud;
-                          dst[0] = polar.radius;
-                          for (int j = 0; j < d - 1; ++j)
-                            dst[1 + j] =
-                                polar.cube[static_cast<std::size_t>(j)];
-                          localMax = std::max(localMax, polar.radius);
-                        }
-                        slotMax[static_cast<std::size_t>(slot)] = localMax;
-                      });
-    for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
-    outerRadius = options.outerRadius.value_or(maxRadius);
+    parallelForChunks(
+        0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
+          const double chunkMax = kernels::radiusMaxBatch(
+              points.subspan(static_cast<std::size_t>(lo),
+                             static_cast<std::size_t>(hi - lo)),
+              origin);
+          auto& localMax = slotMax[static_cast<std::size_t>(slot)];
+          localMax = std::max(localMax, chunkMax);
+        });
+    for (const double m : slotMax) outerRadius = std::max(outerRadius, m);
+    std::fill(slotMax.begin(), slotMax.end(), 0.0);
   }
   // A computed radius of 0 means every point sits at the source; an
   // explicit one was checked positive above.
@@ -246,12 +214,12 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   polarSpan.end();
 
   // Classify every point at the largest candidate k and mark the occupied
-  // cells. The fused kernel path does polar conversion and ring/cell
-  // classification in ONE walk over the points (cache-resident blocks inside
-  // polarClassifyBatch), then marks each point's kMax cell. Both paths mark
-  // with relaxed byte stores: every writer stores the same 1, so the bitmap
-  // is identical for any worker count, and selectRings reads it after the
-  // pool join.
+  // cells: polar conversion and ring/cell classification run in ONE walk
+  // over the points (cache-resident blocks inside polarClassifyBatch),
+  // which also checks every point's dimension; then each point's kMax cell
+  // is marked with a relaxed byte store. Every writer stores the same 1, so
+  // the bitmap is identical for any worker count, and selectRings reads it
+  // after the pool join.
   const int kMax = candidateRings(n, options.maxRings);
   const PolarGrid gridMax(d, kMax, outerRadius);
   const std::size_t heapIdsMax = gridMax.heapIdCount();
@@ -259,43 +227,33 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   std::span<std::uint64_t> cellMax = arena.alloc<std::uint64_t>(un);
   std::span<std::uint8_t> occMax = arena.alloc<std::uint8_t>(heapIdsMax);
   std::memset(occMax.data(), 0, occMax.size());
-  const auto markOccupied = [&](std::uint64_t h) {
-    std::atomic_ref<std::uint8_t>(occMax[static_cast<std::size_t>(h)])
-        .store(1, std::memory_order_relaxed);
-  };
   obs::TraceSpan classifySpan("classification", "grid", span.id());
-  if (useKernels) {
-    std::array<double, PolarGrid::kMaxRings + 1> radii{};
-    for (int i = 0; i <= kMax; ++i)
-      radii[static_cast<std::size_t>(i)] = gridMax.ringRadius(i);
-    const std::span<const double> radiiSpan(
-        radii.data(), static_cast<std::size_t>(kMax) + 1);
-    parallelForChunks(
-        0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
-          const kernels::ClassifyTable& table =
-              workerClassifyTable(d, kMax, outerRadius, radiiSpan);
-          const auto ulo = static_cast<std::size_t>(lo);
-          const auto len = static_cast<std::size_t>(hi - lo);
-          const double chunkMax = kernels::polarClassifyBatch(
-              points.subspan(ulo, len), origin, table,
-              std::span<double>(packed).subspan(ulo * ud, len * ud),
-              ringMax.subspan(ulo, len), cellMax.subspan(ulo, len));
-          auto& localMax = slotMax[static_cast<std::size_t>(slot)];
-          localMax = std::max(localMax, chunkMax);
-          for (std::size_t i = ulo; i < ulo + len; ++i)
-            markOccupied(gridMax.heapId(ringMax[i], cellMax[i]));
-        });
-    for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
-  } else {
-    parallelFor(0, n, workers, [&](std::int64_t i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const PolarCoords polar = unpackPolar(packed, d, idx);
-      const int ring = gridMax.ringOf(std::min(polar.radius, outerRadius));
-      ringMax[idx] = ring;
-      cellMax[idx] = gridMax.cellOf(polar, ring);
-      markOccupied(gridMax.heapId(ring, cellMax[idx]));
-    });
-  }
+  std::array<double, PolarGrid::kMaxRings + 1> radii{};
+  for (int i = 0; i <= kMax; ++i)
+    radii[static_cast<std::size_t>(i)] = gridMax.ringRadius(i);
+  const std::span<const double> radiiSpan(radii.data(),
+                                          static_cast<std::size_t>(kMax) + 1);
+  parallelForChunks(
+      0, n, workers, [&](std::int64_t lo, std::int64_t hi, int slot) {
+        const kernels::ClassifyTable& table =
+            workerClassifyTable(d, kMax, outerRadius, radiiSpan);
+        const auto ulo = static_cast<std::size_t>(lo);
+        const auto len = static_cast<std::size_t>(hi - lo);
+        const double chunkMax = kernels::polarClassifyBatch(
+            points.subspan(ulo, len), origin, table,
+            std::span<double>(packed).subspan(ulo * ud, len * ud),
+            ringMax.subspan(ulo, len), cellMax.subspan(ulo, len));
+        auto& localMax = slotMax[static_cast<std::size_t>(slot)];
+        localMax = std::max(localMax, chunkMax);
+        for (std::size_t i = ulo; i < ulo + len; ++i) {
+          std::atomic_ref<std::uint8_t>(
+              occMax[static_cast<std::size_t>(
+                  gridMax.heapId(ringMax[i], cellMax[i]))])
+              .store(1, std::memory_order_relaxed);
+        }
+      });
+  double maxRadius = 0.0;
+  for (const double m : slotMax) maxRadius = std::max(maxRadius, m);
   OMT_CHECK(maxRadius <= outerRadius * (1.0 + 1e-9),
             "a point lies outside the requested outer radius");
 

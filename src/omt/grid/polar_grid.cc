@@ -98,6 +98,20 @@ RingSegment PolarGrid::cellSegment(int ring, std::uint64_t cell) const {
       std::span<const Interval>(cube.data(), static_cast<std::size_t>(axes)));
 }
 
+PolarCoords PolarGrid::arcMidpoint(int ring, std::uint64_t cell,
+                                   bool outer) const {
+  const RingSegment segment = cellSegment(ring, cell);
+  PolarCoords mid;
+  mid.dim = dim_;
+  mid.radius = outer ? segment.radial().hi : segment.radial().lo;
+  for (int j = 0; j < segment.cubeAxes(); ++j) {
+    double m = segment.cubeAxis(j).mid();
+    if (j == azimuthAxis(dim_)) m -= std::floor(m);  // wrap into [0, 1)
+    mid.cube[static_cast<std::size_t>(j)] = m;
+  }
+  return mid;
+}
+
 PolarGrid PolarGrid::afterSplit() const {
   OMT_CHECK(rings_ < kMaxRings, "split exceeds kMaxRings");
   return PolarGrid(dim_, rings_ + 1, outerRadius_);

@@ -69,6 +69,16 @@ class PolarGrid {
   /// The region of a cell as a RingSegment (ring 0 is the central ball).
   RingSegment cellSegment(int ring, std::uint64_t cell) const;
 
+  /// Polar coordinates of the midpoint of a cell's inner (radius
+  /// r_{ring-1}) or outer (r_ring) boundary arc, at the cell's angular
+  /// centre, with the azimuth wrapped into [0, 1). The inner-arc midpoint
+  /// anchors the cell's representative (Section III-B: the point "closest
+  /// to the center on the inner arc of the segment"); the outer one is
+  /// where next-ring relays aim, since the two child representatives sit
+  /// on the cell's outer boundary. Callers pick the polar -> Cartesian
+  /// conversion.
+  PolarCoords arcMidpoint(int ring, std::uint64_t cell, bool outer) const;
+
   /// The paper's Delta_i (2D): arc length of one ring-i cell on its outer
   /// boundary circle, 2*pi*r_i / 2^i. Defined for every dimension as the
   /// azimuthal arc of a cell at the outer boundary radius.

@@ -1,4 +1,4 @@
-// Batched coordinate-kernel layer: runtime toggle and shared metrics.
+// Batched coordinate-kernel layer.
 //
 // The kernels subsystem makes the point -> cell pipeline a batched,
 // cache-friendly kernel instead of per-point scalar calls:
@@ -6,31 +6,24 @@
 //     per-point Newton solve drops from a cold full-range start to ~2-3
 //     steps inside a precomputed bracket);
 //   * polar_batch.h — SoA batch transforms (polarOfPointsBatch,
-//     ringCellBatch, angularCubeBatch) over contiguous per-dimension lanes.
+//     ringCellBatch, polarClassifyBatch, angularCubeBatch) over contiguous
+//     per-dimension lanes.
 //
-// Everything here is an implementation strategy, not a semantic change:
-// every kernel returns doubles bitwise identical to the scalar geometry /
-// grid path it replaces (the tables store the exact doubles the cold path
-// computes, and the batch loops replay the scalar operation sequences), so
-// the pinned golden tree fingerprints and the byte-identical determinism
-// contract hold with the kernels on or off. kernels_test.cc and the
-// extended core_polar_grid_parallel_test goldens enforce this.
-//
-// The layer is on by default; OMT_KERNEL_TABLES=0 in the environment (or
-// setEnabled(false)) forces every call site back onto the legacy scalar
-// path — the escape hatch for A/B timing and for bisecting any future
-// divergence.
+// The kernels are construction's only exact math path: grid assignment,
+// Polar_Grid stage 2a and its relay targets, and Bisection's polar pass
+// all run them. Every kernel returns doubles bitwise identical to the
+// scalar geometry (toPolar, PolarGrid::ringOf/cellOf, fromPolar,
+// sinPowerQuantile): the tables store the exact doubles the cold path
+// computes, and the batch loops replay the scalar operation sequences. The
+// scalar functions stay as the incremental session's geometry and as the
+// oracle kernels_test.cc and grid_assignment_test.cc compare against.
 #pragma once
 
 namespace omt::kernels {
 
-/// Whether call sites should take the batched kernel path. Initialised
-/// from the environment on first use: OMT_KERNEL_TABLES=0 disables, any
-/// other value (or absence) enables.
-bool enabled();
-
-/// Override the kernel toggle at runtime (tests, A/B benches). Returns the
-/// previous value.
-bool setEnabled(bool on);
+/// Always true: construction has no scalar fallback to switch to. Kept
+/// only because the benchmark's machine stamp (perfbench/src/main.cc)
+/// reports it as `kernel_tables`.
+inline constexpr bool enabled() { return true; }
 
 }  // namespace omt::kernels

@@ -9,7 +9,6 @@
 
 #include "omt/common/error.h"
 #include "omt/geometry/sin_power_integral.h"
-#include "omt/kernels/kernels.h"
 #include "omt/obs/metrics.h"
 #include "omt/obs/trace.h"
 
@@ -78,7 +77,7 @@ double sinPowerQuantileTabled(int k, double u) {
   if (k == 0) return u * kPi;
   if (k == 1) return std::acos(1.0 - 2.0 * u);
   TableMetrics& metrics = tableMetrics();
-  if (k > kMaxTabledPower || !enabled()) {
+  if (k > kMaxTabledPower) {
     metrics.misses.add();
     return sinPowerQuantile(k, u);
   }

@@ -30,7 +30,7 @@ std::span<const double> quantileTable(int k);
 
 /// Table-seeded quantile. Bitwise identical to sinPowerQuantile(k, u) for
 /// every argument; falls back to the scalar path (and counts a table miss)
-/// when k is out of table range or the kernel layer is disabled.
+/// when k is out of table range.
 double sinPowerQuantileTabled(int k, double u);
 
 }  // namespace omt::kernels

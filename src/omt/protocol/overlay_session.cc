@@ -331,18 +331,10 @@ void OverlaySession::promoteRepresentative(std::uint64_t heapId) {
   const auto& members = cellMembers_[heapId];
   NodeId promoted = kNoNode;
   if (!members.empty()) {
-    const int ring = grid_.ringOfHeapId(heapId);
-    const RingSegment segment =
-        grid_.cellSegment(ring, grid_.cellOfHeapId(heapId));
-    PolarCoords mid;
-    mid.dim = grid_.dim();
-    mid.radius = segment.radial().lo;
-    for (int j = 0; j < segment.cubeAxes(); ++j) {
-      double m = segment.cubeAxis(j).mid();
-      if (j == azimuthAxis(grid_.dim())) m -= std::floor(m);
-      mid.cube[static_cast<std::size_t>(j)] = m;
-    }
-    const Point target = fromPolar(mid, hosts_[0].position);
+    const Point target = fromPolar(
+        grid_.arcMidpoint(grid_.ringOfHeapId(heapId),
+                          grid_.cellOfHeapId(heapId), /*outer=*/false),
+        hosts_[0].position);
     double bestDist = kInf;
     for (const NodeId member : members) {
       ++stats_.contactCost;
@@ -730,18 +722,10 @@ void OverlaySession::regrid(double newRadius) {
   // Representatives by the inner-arc-midpoint rule, placed in heap order.
   for (std::uint64_t h = 2; h < grid_.heapIdCount(); ++h) {
     if (cellMembers_[h].empty()) continue;
-    const int ring = grid_.ringOfHeapId(h);
-    const RingSegment segment =
-        grid_.cellSegment(ring, grid_.cellOfHeapId(h));
-    PolarCoords mid;
-    mid.dim = grid_.dim();
-    mid.radius = segment.radial().lo;
-    for (int j = 0; j < segment.cubeAxes(); ++j) {
-      double m = segment.cubeAxis(j).mid();
-      if (j == azimuthAxis(grid_.dim())) m -= std::floor(m);
-      mid.cube[static_cast<std::size_t>(j)] = m;
-    }
-    const Point target = fromPolar(mid, hosts_[0].position);
+    const Point target =
+        fromPolar(grid_.arcMidpoint(grid_.ringOfHeapId(h),
+                                    grid_.cellOfHeapId(h), /*outer=*/false),
+                  hosts_[0].position);
     NodeId rep = kNoNode;
     double bestDist = kInf;
     for (const NodeId member : cellMembers_[h]) {

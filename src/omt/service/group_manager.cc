@@ -220,9 +220,8 @@ GroupManager::GroupSlot* GroupManager::slotFor(GroupId group) const {
 }
 
 GroupManager::GroupSlot& GroupManager::ensureSlot(GroupId group) {
-  OMT_CHECK(group >= 0 && group < options_.maxGroups,
-            "group id " + std::to_string(group) + " outside [0, " +
-                std::to_string(options_.maxGroups) + ")");
+  OMT_ASSERT(group >= 0 && group < options_.maxGroups,
+             "group id outside the checked range");
   auto& pageRef = pages_[static_cast<std::size_t>(group >> kPageBits)];
   GroupSlot* page = pageRef.load(std::memory_order_acquire);
   if (!page) {
@@ -257,7 +256,7 @@ void GroupManager::createState(GroupSlot& slot, GroupId group, int dim) {
       DisruptionOptions d = options_.disruption;
       d.seed = deriveSeed(deriveSeed(options_.seed, 0xd15eULL),
                           static_cast<std::uint64_t>(group));
-      disruption = DisruptionSchedule(generateDisruption(d));
+      disruption = DisruptionSchedule(generateDisruption(d, dim));
     }
     OverlaySession* session = &slot.state->session;
     slot.state->rpc = std::make_unique<RpcLayer>(
@@ -458,10 +457,20 @@ GroupManager::WorkerReport GroupManager::claimEach(
 ApplyReport GroupManager::apply(std::span<const MembershipEvent> events) {
   const double arrival = options_.measureLatency ? wallNow() : 0.0;
   // Serial pre-pass on the writer thread, so the parallel phase makes no
-  // structural change a concurrent reader could race with: install every
-  // slot, then group the batch into one run per touched group. Sorting
-  // (group, event index) pairs lays each group's events out contiguously
-  // and in batch order.
+  // structural change a concurrent reader could race with. A batch with an
+  // id no event may carry is refused whole, before any slot is installed;
+  // then every slot is installed and the batch grouped into one run per
+  // touched group. Sorting (group, event index) pairs lays each group's
+  // events out contiguously and in batch order.
+  for (const MembershipEvent& event : events) {
+    OMT_CHECK(event.group >= 0 && event.group < options_.maxGroups,
+              "group id " + std::to_string(event.group) + " outside [0, " +
+                  std::to_string(options_.maxGroups) + ")");
+    // -1 and -2 are the tables' kNoHost and kNotMember.
+    OMT_CHECK(event.host >= 0, "group " + std::to_string(event.group) +
+                                   ": host id " + std::to_string(event.host) +
+                                   " is negative");
+  }
   order_.clear();
   for (std::size_t i = 0; i < events.size(); ++i) {
     ensureSlot(events[i].group);

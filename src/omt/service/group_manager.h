@@ -153,9 +153,11 @@ class GroupManager {
   /// one group apply in batch order; every touched group republishes
   /// exactly once, right after its last event of the batch. Malformed
   /// events (leave of a non-member, join of a member, group id out of
-  /// range) throw InvalidArgument. Events applied before the throw stay
-  /// applied; a group they left unpublished publishes with the next batch
-  /// that touches it, or at quiesce().
+  /// range, a negative host id — -1 and -2 are kNoHost and kNotMember)
+  /// throw InvalidArgument. A batch with a bad group or host id is refused
+  /// whole, before anything changes. Events applied before any other throw
+  /// stay applied; a group they left unpublished publishes with the next
+  /// batch that touches it, or at quiesce().
   ApplyReport apply(std::span<const MembershipEvent> events);
 
   /// Drain degraded states (RPC mode: re-drive parked attaches and

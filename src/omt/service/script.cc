@@ -1,5 +1,6 @@
 #include "omt/service/script.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <fstream>
@@ -194,7 +195,10 @@ std::vector<MembershipEvent> loadMembershipScript(const std::string& path,
     OMT_CHECK(dim >= 1, "script '" + path + "' events precede the dim line");
     MembershipEvent e;
     std::string kind;
-    e.time = std::stod(first);
+    const char* end = first.data() + first.size();
+    const auto [ptr, ec] = std::from_chars(first.data(), end, e.time);
+    OMT_CHECK(ec == std::errc() && ptr == end && std::isfinite(e.time),
+              "script time '" + first + "' is not a finite number: " + line);
     OMT_CHECK(static_cast<bool>(ls >> e.group >> kind >> e.host),
               "malformed script line: " + line);
     if (kind == "J") {
@@ -210,6 +214,9 @@ std::vector<MembershipEvent> loadMembershipScript(const std::string& path,
     } else {
       throw InvalidArgument("unknown event kind '" + kind + "' in " + path);
     }
+    std::string extra;
+    OMT_CHECK(!(ls >> extra),
+              "trailing '" + extra + "' on script line: " + line);
     events.push_back(std::move(e));
   }
   if (dimOut) *dimOut = dim;

@@ -114,7 +114,8 @@ DataplaneChaosResult runDataplaneChaos(const DataplaneChaosOptions& options) {
     DisruptionOptions disruption = options.disruption;
     disruption.seed = deriveSeed(options.seed, 0xD47AB0);
     disruption.duration = span + 1.0;
-    engine.lossBursts = lossBurstsFromDisruption(generateDisruption(disruption));
+    engine.lossBursts = lossBurstsFromDisruption(
+        generateDisruption(disruption, options.dim));
   }
   if (options.heterogeneousBuffers && engine.retransmitBufferPerNode.empty()) {
     static constexpr std::int64_t kRingSizes[] = {64, 256, 1024};

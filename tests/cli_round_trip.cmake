@@ -47,3 +47,20 @@ run(${OMTCLI} serve --script ${script} --shards 1 --rpc 1)
 # A huge worker request is capped by the pool's capacity; it must not size
 # per-worker state by the request.
 run(${OMTCLI} serve --script ${script} --shards 2147483647)
+# Disruption partitions are drawn in the population's dimension, so a 3-D
+# RPC replay with disruption converges instead of failing on a dimension
+# mismatch.
+run(${OMTCLI} serve --dim 3 --rpc 1 --disrupt 1 --groups 8 --hosts 500
+    --events 3000 --seed 2)
+# A script record's time parses whole and finite, nothing may follow a
+# record's last field, and host ids are never negative (-1 and -2 are the
+# route tables' "origin" and "not a member"): each of these is a typed
+# error, not "error: stod" or an accepted event.
+set(bad_script ${WORKDIR}/cli_bad_script.txt)
+foreach(record "abc 0 J 2 0.3 0.1" "1e400 0 J 2 0.3 0.1" "nan 0 J 2 0.3 0.1"
+               "0.5x 0 J 2 0.3 0.1" "0.5 0 L 1 extra" "0.5 0 J -1 0.3 0.1"
+               "0.5 0 J -2 0.3 0.1")
+  file(WRITE ${bad_script}
+       "# omt-membership-script v1\ndim 2\n0.1 0 J 1 0.1 0.2\n${record}\n")
+  run_rejected(${OMTCLI} serve --script ${bad_script})
+endforeach()

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "omt/core/polar_grid_tree.h"
-#include "omt/kernels/kernels.h"
 #include "omt/random/samplers.h"
 #include "omt/tree/validation.h"
 
@@ -107,44 +106,6 @@ TEST(PolarGridParallelTest, MatchesGoldenFingerprintAnyWorkerCount) {
     }
     EXPECT_EQ(hash, 0xbf78c6a4119ea1a0ULL) << "workers=" << workers;
   }
-}
-
-TEST(PolarGridParallelTest, GoldenFingerprintsHoldWithKernelsOnAndOff) {
-  // The batched kernel layer (omt/kernels) claims bitwise identity with the
-  // scalar pipeline; pin the golden constants under both settings so any
-  // future divergence of the fast path trips this test, not a user build.
-  const auto parentFingerprint = [](const MulticastTree& tree) {
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (NodeId v = 0; v < tree.size(); ++v) {
-      const auto x = static_cast<std::uint64_t>(tree.parentOf(v) + 1);
-      for (int b = 0; b < 8; ++b) {
-        hash ^= (x >> (8 * b)) & 0xff;
-        hash *= 1099511628211ULL;
-      }
-    }
-    return hash;
-  };
-  const bool saved = kernels::setEnabled(true);
-  for (const bool on : {true, false}) {
-    kernels::setEnabled(on);
-    {
-      Rng rng(12345);
-      const auto points = sampleDiskWithCenterSource(rng, 200, 2);
-      const auto result =
-          buildPolarGridTree(points, 0, {.maxOutDegree = 6, .workers = 4});
-      EXPECT_EQ(parentFingerprint(result.tree), 0xbf78c6a4119ea1a0ULL)
-          << "kernels=" << on;
-    }
-    {
-      Rng rng(777);
-      const auto points = sampleDiskWithCenterSource(rng, 300, 3);
-      const auto result =
-          buildPolarGridTree(points, 0, {.maxOutDegree = 10, .workers = 4});
-      EXPECT_EQ(parentFingerprint(result.tree), 0xf7c349cfb3d9a13eULL)
-          << "kernels=" << on;
-    }
-  }
-  kernels::setEnabled(saved);
 }
 
 }  // namespace

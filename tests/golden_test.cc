@@ -167,6 +167,13 @@ TEST(GoldenTest, ConstructionAtScale) {
       {kGrid, 3, 3, 30000, false, 0x9f47fe33e63467a9ULL},
       {kGrid, 3, 6, 30000, false, 0xc1bcc11d04a393d3ULL},
       {kGrid, 3, 10, 30000, false, 0x598ed37e07e3a959ULL},
+      // d >= 4: the polar angles invert sin^k for k >= 2 (table-seeded).
+      {kGrid, 4, 2, 20000, false, 0x4da4663a85a3de9aULL},
+      {kGrid, 4, 6, 20000, false, 0xffd9f564e3024541ULL},
+      {kGrid, 6, 2, 20000, false, 0xa1bdb44ec4a3fd2fULL},
+      {kGrid, 6, 6, 20000, false, 0x031cd27c9a5269f6ULL},
+      {kGrid, 8, 2, 20000, false, 0x1f4e0b317c509b60ULL},
+      {kGrid, 8, 6, 20000, false, 0x84f864f223effb66ULL},
       {kBisect, 2, 2, 30000, false, 0xc7affb4438549d09ULL},
       {kBisect, 2, 3, 30000, false, 0x9d7559b8a16a1489ULL},
       {kBisect, 2, 4, 30000, false, 0x0487e2e8d6c2d5b9ULL},

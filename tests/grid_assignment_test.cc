@@ -1,7 +1,9 @@
 #include "omt/grid/assignment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 
 namespace omt {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Checks grid property 3 for a given ring count k over the point radii:
 /// rings 1..k-1 must be fully occupied.
@@ -75,27 +79,42 @@ TEST(AssignmentTest, ChosenKIsMaximal) {
 }
 
 TEST(AssignmentTest, CsrPartitionsAllPoints) {
-  Rng rng(43);
-  const auto points = sampleDiskWithCenterSource(rng, 3000, 2);
-  const GridAssignment a = assignToGrid(points, 0);
+  for (const int d : {2, 3, 4, 6}) {
+    Rng rng(43 + static_cast<std::uint64_t>(d));
+    const auto points = sampleDiskWithCenterSource(rng, 3000, d);
+    const GridAssignment a = assignToGrid(points, 0);
 
-  // Every point is listed once, under the cell its own polar coordinates
-  // classify into at the chosen k.
-  std::vector<std::uint8_t> seen(points.size(), 0);
-  for (std::uint64_t h = 1; h < a.grid.heapIdCount(); ++h) {
-    const int ring = a.grid.ringOfHeapId(h);
-    for (const NodeId member : a.membersOf(h)) {
-      EXPECT_FALSE(seen[static_cast<std::size_t>(member)]);
-      seen[static_cast<std::size_t>(member)] = 1;
-      const PolarCoords polar =
-          toPolar(points[static_cast<std::size_t>(member)], points[0]);
-      EXPECT_EQ(a.grid.ringOf(std::min(polar.radius, a.grid.outerRadius())),
-                ring);
-      EXPECT_EQ(a.grid.heapId(ring, a.grid.cellOf(polar, ring)), h);
+    // The outer radius is the largest toPolar radius, bit for bit, and the
+    // chosen k satisfies property 3 under the scalar classification.
+    double maxRadius = 0.0;
+    for (const Point& p : points)
+      maxRadius = std::max(maxRadius, toPolar(p, points[0]).radius);
+    EXPECT_EQ(bits(a.grid.outerRadius()), bits(maxRadius)) << "d=" << d;
+    EXPECT_TRUE(property3Holds(points, 0, a.grid.rings(),
+                               a.grid.outerRadius(), d))
+        << "d=" << d;
+
+    // Every point is listed once, under the cell its own polar coordinates
+    // classify into at the chosen k.
+    std::vector<std::uint8_t> seen(points.size(), 0);
+    for (std::uint64_t h = 1; h < a.grid.heapIdCount(); ++h) {
+      const int ring = a.grid.ringOfHeapId(h);
+      for (const NodeId member : a.membersOf(h)) {
+        EXPECT_FALSE(seen[static_cast<std::size_t>(member)]);
+        seen[static_cast<std::size_t>(member)] = 1;
+        const PolarCoords polar =
+            toPolar(points[static_cast<std::size_t>(member)], points[0]);
+        EXPECT_EQ(
+            a.grid.ringOf(std::min(polar.radius, a.grid.outerRadius())), ring)
+            << "d=" << d << " member=" << member;
+        EXPECT_EQ(a.grid.heapId(ring, a.grid.cellOf(polar, ring)), h)
+            << "d=" << d << " member=" << member;
+      }
     }
+    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                            [](std::uint8_t s) { return s == 1; }))
+        << "d=" << d;
   }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                          [](std::uint8_t s) { return s == 1; }));
 }
 
 TEST(AssignmentTest, AssignedCellsContainTheirPoints) {
@@ -306,11 +325,17 @@ TEST(AssignmentTest, ParallelAssignmentMatchesSequential) {
         options.workers = workers;
         const GridAssignment got = assignToGrid(points, 0, options);
         EXPECT_EQ(got.grid.rings(), want.grid.rings());
-        EXPECT_DOUBLE_EQ(got.grid.outerRadius(), want.grid.outerRadius());
+        EXPECT_EQ(bits(got.grid.outerRadius()), bits(want.grid.outerRadius()));
         EXPECT_EQ(got.cellStart, want.cellStart);
         EXPECT_EQ(got.cellMembers, want.cellMembers);
         EXPECT_EQ(heapIdOfEachPoint(got), wantIds);
-        EXPECT_EQ(got.packedPolar, want.packedPolar);
+        // Bitwise: packed doubles compared as bytes, so -0.0 and NaN
+        // payloads count too.
+        ASSERT_EQ(got.packedPolar.size(), want.packedPolar.size());
+        EXPECT_EQ(std::memcmp(got.packedPolar.data(), want.packedPolar.data(),
+                              want.packedPolar.size() * sizeof(double)),
+                  0)
+            << "n=" << n << " dim=" << dim << " workers=" << workers;
         EXPECT_EQ(got.occupiedCells(), want.occupiedCells());
       }
     }
@@ -318,19 +343,25 @@ TEST(AssignmentTest, ParallelAssignmentMatchesSequential) {
 }
 
 TEST(AssignmentTest, PolarOfPointMatchesToPolar) {
-  Rng rng(54);
-  const auto points = sampleDiskWithCenterSource(rng, 3000, 2);
-  const GridAssignment a = assignToGrid(points, 0);
-  ASSERT_EQ(a.packedPolar.size(), 2 * points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PolarCoords want = toPolar(points[i], points[0]);
-    const PolarCoords got = a.polarOf(static_cast<NodeId>(i));
-    EXPECT_EQ(a.radiusOf(static_cast<NodeId>(i)), want.radius);
-    EXPECT_EQ(got.radius, want.radius);
-    EXPECT_EQ(got.dim, want.dim);
-    for (int c = 0; c < want.cubeAxes(); ++c)
-      EXPECT_EQ(got.cube[static_cast<std::size_t>(c)],
-                want.cube[static_cast<std::size_t>(c)]);
+  for (const int d : {2, 3, 4, 6}) {
+    Rng rng(54 + static_cast<std::uint64_t>(d));
+    const auto points = sampleDiskWithCenterSource(rng, 3000, d);
+    const GridAssignment a = assignToGrid(points, 0);
+    ASSERT_EQ(a.packedPolar.size(),
+              static_cast<std::size_t>(d) * points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const auto node = static_cast<NodeId>(i);
+      const PolarCoords want = toPolar(points[i], points[0]);
+      const PolarCoords got = a.polarOf(node);
+      ASSERT_EQ(bits(a.radiusOf(node)), bits(want.radius))
+          << "d=" << d << " i=" << i;
+      ASSERT_EQ(bits(got.radius), bits(want.radius)) << "d=" << d << " i=" << i;
+      ASSERT_EQ(got.dim, want.dim);
+      for (int c = 0; c < want.cubeAxes(); ++c)
+        ASSERT_EQ(bits(got.cube[static_cast<std::size_t>(c)]),
+                  bits(want.cube[static_cast<std::size_t>(c)]))
+            << "d=" << d << " i=" << i << " axis=" << c;
+    }
   }
 }
 
@@ -353,6 +384,13 @@ TEST(AssignmentTest, RejectsBadArguments) {
   EXPECT_THROW(assignToGrid({}, 0), InvalidArgument);
   EXPECT_THROW(assignToGrid(points, 1), InvalidArgument);
   EXPECT_THROW(assignToGrid(points, -1), InvalidArgument);
+  // Every point's dimension is checked, with and without a known radius.
+  const std::vector<Point> mixed{Point{0.0, 0.0}, Point{0.5, 0.0},
+                                 Point{0.1, 0.2, 0.3}};
+  EXPECT_THROW(assignToGrid(mixed, 0), InvalidArgument);
+  AssignmentOptions explicitRadius;
+  explicitRadius.outerRadius = 2.0;
+  EXPECT_THROW(assignToGrid(mixed, 0, explicitRadius), InvalidArgument);
 }
 
 TEST(AssignmentTest, ThreeDimensionalProperty3) {

@@ -120,6 +120,21 @@ TEST(RpcChaosTest, CircuitBreakersTripUnderSustainedPartitions) {
   EXPECT_EQ(result.rpc.duplicatesApplied, 0);
 }
 
+TEST(RpcChaosTest, PartitionsUseTheScheduleDimension) {
+  // Partition centres are drawn in the hosts' dimension: a 3-D drill with
+  // partitions must run to a clean verdict, not trip a dimension mismatch
+  // the first time a partition tests a host's position.
+  for (std::uint64_t trial = 1; trial <= 4; ++trial) {
+    ChaosOptions options = rpcScenario(trial);
+    options.schedule.dim = 3;
+    options.disruption.partitionRate = 0.2;
+    ChaosResult result;
+    ASSERT_NO_THROW(result = runChaos(options)) << "trial " << trial;
+    EXPECT_TRUE(result.ok) << "trial " << trial << ": " << result.failure;
+    EXPECT_GT(result.disruptionWindows, 0) << "trial " << trial;
+  }
+}
+
 TEST(RpcChaosTest, LosslessRpcModeParksNothing) {
   ChaosOptions options = rpcScenario(0);
   options.rpc.channel.lossRate = 0.0;

@@ -74,8 +74,8 @@ TEST(DisruptionScheduleTest, GeneratedWindowsAreValidAndDeterministic) {
   options.lossBurstRate = 0.1;
   options.delaySpellRate = 0.1;
   options.seed = 99;
-  const std::vector<DisruptionWindow> first = generateDisruption(options);
-  const std::vector<DisruptionWindow> second = generateDisruption(options);
+  const std::vector<DisruptionWindow> first = generateDisruption(options, 2);
+  const std::vector<DisruptionWindow> second = generateDisruption(options, 2);
   ASSERT_FALSE(first.empty());
   ASSERT_EQ(first.size(), second.size());
   double lastStart = 0.0;

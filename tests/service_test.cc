@@ -147,6 +147,44 @@ TEST(ServiceTest, MalformedEventsThrow) {
   GroupManager small(tiny);
   EXPECT_THROW(small.apply(std::vector<MembershipEvent>{join(4, 1, 0.1, 0.1)}),
                InvalidArgument);
+  // Refused whole: the valid event before the bad one creates no group.
+  EXPECT_THROW(small.apply(std::vector<MembershipEvent>{
+                   join(3, 1, 0.1, 0.1), join(4, 1, 0.1, 0.1)}),
+               InvalidArgument);
+  EXPECT_EQ(small.groupCount(), 0);
+}
+
+// Host ids below 0 collide with kNoHost (-1) and kNotMember (-2) in every
+// published table, so the whole batch is refused before any event applies.
+TEST(ServiceTest, NegativeHostIdsAreRejected) {
+  GroupManager manager(directOptions());
+  manager.apply(std::vector<MembershipEvent>{join(0, 1, 0.1, 0.1)});
+  const std::uint64_t before = serviceFingerprint(manager);
+  for (const HostId bad : {HostId{-1}, HostId{-2}}) {
+    EXPECT_THROW(manager.apply(std::vector<MembershipEvent>{
+                     join(0, 2, 0.4, 0.4), join(0, bad, 0.5, 0.5)}),
+                 InvalidArgument)
+        << "host " << bad;
+    EXPECT_THROW(manager.apply(std::vector<MembershipEvent>{join(1, bad, 0.5,
+                                                                 0.5)}),
+                 InvalidArgument)
+        << "host " << bad;
+    EXPECT_THROW(manager.apply(std::vector<MembershipEvent>{leave(0, bad)}),
+                 InvalidArgument)
+        << "host " << bad;
+    EXPECT_THROW(manager.apply(std::vector<MembershipEvent>{crash(0, bad)}),
+                 InvalidArgument)
+        << "host " << bad;
+  }
+  EXPECT_EQ(manager.liveMembersOf(0), 1);
+  EXPECT_EQ(manager.groupCount(), 1);
+  EXPECT_EQ(serviceFingerprint(manager), before);
+  EXPECT_EQ(manager.epochOf(0), 1u);
+  EXPECT_EQ(manager.quiesce(0.0), 0);
+  const auto table = manager.routes(0);
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->size(), 1);
+  EXPECT_TRUE(table->checkConsistency(6).ok);
 }
 
 // A batch that throws part-way leaves its applied events applied. The
@@ -283,6 +321,33 @@ TEST(ServiceScriptTest, SaveLoadRoundTripsExactly) {
   }
 }
 
+// Each record's time must parse whole and be finite, and a record carries
+// nothing after its last field: every other input is a typed
+// InvalidArgument, not a std::stod exception or a silently accepted event.
+TEST(ServiceScriptTest, LoaderRejectsMalformedRecords) {
+  const std::string path = ::testing::TempDir() + "omt_script_bad.txt";
+  const auto load = [&path](const std::string& record) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      std::fprintf(f, "# omt-membership-script v1\ndim 2\n%s\n",
+                   record.c_str());
+      std::fclose(f);
+    }
+    EXPECT_THROW(loadMembershipScript(path), InvalidArgument)
+        << "record '" << record << "'";
+  };
+  load("abc 0 J 1 0.1 0.2");
+  load("1e400 0 J 1 0.1 0.2");
+  load("-1e400 0 J 1 0.1 0.2");
+  load("nan 0 J 1 0.1 0.2");
+  load("inf 0 J 1 0.1 0.2");
+  load("0.5x 0 J 1 0.1 0.2");
+  load("0.5 0 J 1 0.1 0.2 0.3");
+  load("0.5 0 L 1 extra");
+  std::remove(path.c_str());
+}
+
 TEST(ServiceScriptTest, FilterGroupPreservesOrder) {
   ScriptOptions options;
   options.groups = 4;
@@ -317,6 +382,31 @@ TEST(ServiceReplayTest, ReplayConvergesAndAuditsEveryGroup) {
   EXPECT_EQ(result.groups, script.groups);
   EXPECT_GT(result.publishes, 0);
   EXPECT_NE(serviceFingerprint(manager), 0u);
+}
+
+// Partition centres come from the group's dimension: a 3-D replay through
+// the RPC transport with partitions converges like a 2-D one.
+TEST(ServiceReplayTest, RpcDisruptionReplayConvergesIn3D) {
+  ScriptOptions script;
+  script.groups = 8;
+  script.hosts = 500;
+  script.events = 3000;
+  script.dim = 3;
+  script.seed = 2;
+  const auto events = generateMembershipScript(script);
+
+  ServiceOptions options = directOptions(2);
+  options.seed = 2;
+  options.useRpc = true;
+  options.injectDisruption = true;
+  options.disruption.duration = 4.0;
+  options.disruption.partitionRate = 2.0;
+  GroupManager manager(options);
+  ReplayResult result;
+  ASSERT_NO_THROW(result = replayScript(manager, events, {.batchSize = 256}));
+  EXPECT_TRUE(result.converged())
+      << result.degradedGroups << " degraded, " << result.firstInconsistency;
+  EXPECT_EQ(result.events, script.events);
 }
 
 TEST(ServiceReplayTest, StatsAddUpAcrossBatchesAndShards) {
