@@ -1,6 +1,6 @@
 // Golden service fingerprints: fixed membership scripts replayed through
 // GroupManager must land on these exact serviceFingerprint values, at one
-// and at four builder workers. The other service suites compare two runs
+// and at four workers. The other service suites compare two runs
 // of the same build (delta against full, one worker against many), so a
 // change that moved every representative the same way would pass them;
 // these constants pin the published trees themselves. If the service's
