@@ -9,7 +9,7 @@
 #include "omt/baselines/baselines.h"
 #include "omt/baselines/delaunay.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
                "and approaches Star(LB) as n grows; Greedy is competitive "
                "at small n but costs O(n^2) (see the sec columns).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -217,8 +217,12 @@ int runReplayTable(const Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   const Args args = parseArgs(argc, argv);
   if (args.steadyState) return runSteadyState(args);
   return runReplayTable(args);
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

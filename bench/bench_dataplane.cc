@@ -44,7 +44,7 @@ DataplaneResult runSession(const omt::PolarGridResult& built,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -179,4 +179,8 @@ int main(int argc, char** argv) {
     pass = false;
   }
   return pass ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -5,7 +5,7 @@
 // twice the overhead of the saturated policy (the doubled arc terms).
 #include "common.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -53,4 +53,8 @@ int main(int argc, char** argv) {
                "D = 2^d + 2 (fan-out column stops growing); D = 2 pays "
                "about twice the saturated overhead.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

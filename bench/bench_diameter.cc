@@ -7,7 +7,7 @@
 #include "common.h"
 #include "omt/core/min_diameter.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -62,4 +62,8 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: center/LB falls toward 1 with n; a rim root "
                "pays a ~3x factor; Diam/2R <= 1 always.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

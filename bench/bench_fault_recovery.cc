@@ -34,7 +34,7 @@ struct RepairAB {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -206,4 +206,8 @@ int main(int argc, char** argv) {
             << TextTable::num(ab.localPerOrphan.mean(), 2) << " vs "
             << TextTable::num(ab.sweepPerOrphan.mean(), 2) << " contacts)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

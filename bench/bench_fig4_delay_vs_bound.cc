@@ -5,7 +5,7 @@
 // cell size, which is constant in n).
 #include "common.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -38,4 +38,8 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: Bound/Delay falls toward 1 as n grows; "
                "Delay-Core stays roughly constant (outermost-ring width).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

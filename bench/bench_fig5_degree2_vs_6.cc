@@ -4,7 +4,7 @@
 // optimal delay of 1 as n grows.
 #include "common.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -39,4 +39,8 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: both delays fall toward 1; the degree-2 "
                "overhead is ~2x the degree-6 overhead (paper Figure 5).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -9,7 +9,7 @@
 #include "omt/core/lemmas.h"
 #include "omt/grid/assignment.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -47,4 +47,8 @@ int main(int argc, char** argv) {
                ">= log2(n)/2 (equation 5). Paper: 3.61 @ 100, 8.97 @ 10k, "
                "15.00 @ 1M, 17.00 @ 5M.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

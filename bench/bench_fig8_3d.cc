@@ -5,7 +5,7 @@
 // the same n; the degree-2/degree-10 gap narrows as n grows.
 #include "common.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -46,4 +46,8 @@ int main(int argc, char** argv) {
                "-- angular cell extents shrink as 2^(-k/3)); the degree-2 "
                "vs degree-10 gap narrows with n (paper Figure 8).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

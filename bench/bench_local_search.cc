@@ -7,7 +7,7 @@
 #include "omt/baselines/baselines.h"
 #include "omt/core/local_search.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
                "recovering much of the gap at a fraction of greedy's "
                "quadratic cost.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -7,7 +7,7 @@
 #include "common.h"
 #include "omt/protocol/overlay_session.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -94,4 +94,8 @@ int main(int argc, char** argv) {
                "stays 0 in incremental mode); Contacts/op stays small and "
                "flat.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -11,7 +11,7 @@
 #include "omt/core/exact.h"
 #include "omt/core/local_search.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
                "is asymptotic); OPT itself exceeds the straight-line bound "
                "when the cap binds.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

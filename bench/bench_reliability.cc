@@ -9,7 +9,7 @@
 #include "omt/baselines/baselines.h"
 #include "omt/sim/reliability.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -67,4 +67,8 @@ int main(int argc, char** argv) {
                "(shallower trees), far above the chain and below the "
                "star's 1 - p ceiling.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

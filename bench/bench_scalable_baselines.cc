@@ -8,7 +8,7 @@
 #include "omt/baselines/baselines.h"
 #include "omt/baselines/delaunay.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
                "locality heuristics plateau well above it; both scale to "
                "millions.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -241,7 +241,7 @@ int runBench(const Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   const Args args = parseArgs(argc, argv);
   try {
     return runBench(args);
@@ -249,4 +249,8 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

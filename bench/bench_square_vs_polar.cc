@@ -10,7 +10,7 @@
 #include "omt/bisection/bisection.h"
 #include "omt/bisection/square_bisection.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
                "(square/polar ~ 0.7-1.0 -- the polar frame pays for its "
                "artificial far ring center when used standalone).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

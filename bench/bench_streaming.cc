@@ -9,7 +9,7 @@
 #include "omt/baselines/baselines.h"
 #include "omt/sim/streaming.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -71,4 +71,8 @@ int main(int argc, char** argv) {
                "sustain intervals the star cannot, at far lower "
                "first-message delay than the chain would give.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -10,7 +10,7 @@
 // delay -> 1, bound tightening, and near-linear runtime.
 #include "common.h"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt;
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
                "n=1k: 1.302/1.622, n=10k: 1.102/1.202, n=100k: 1.034/1.067, "
                "n=1M: 1.012/1.022, n=5M: 1.005/1.009\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

@@ -39,7 +39,7 @@ std::vector<Point> makeConfig(Rng& rng, int shape, std::int64_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace omt::bench;
   const Args args = parseArgs(argc, argv);
   const int trialsPerCell = args.full ? 200 : 40;
@@ -92,4 +92,8 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: every MaxRatio is below its Theorem column "
                "(5 for out-degree 4, 9 for out-degree 2).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return omt::bench::runGuarded(benchMain, argc, argv);
 }

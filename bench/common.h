@@ -21,9 +21,13 @@
 // counts are recorded on every row.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -95,6 +99,36 @@ struct Args {
   bool fastMath = false;
 };
 
+/// Exits with status 2 and a message naming `flag` and its bad value.
+[[noreturn]] inline void badFlag(const std::string& flag, const char* text,
+                                 const char* expected) {
+  std::cerr << "error: " << flag << " expects " << expected << ", got '"
+            << text << "'\n";
+  std::exit(2);
+}
+
+/// The value of an integer flag: the whole text must parse as an integer
+/// that T can hold (so `--max-n 1e5` is an error, not 1).
+template <std::integral T>
+T parseIntFlag(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) badFlag(flag, text, "an integer");
+  return value;
+}
+
+/// The value of a floating-point flag: the whole text must parse as a
+/// finite number.
+inline double parseDoubleFlag(const std::string& flag, const char* text) {
+  double value = 0.0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value))
+    badFlag(flag, text, "a finite number");
+  return value;
+}
+
 inline Args parseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -102,15 +136,15 @@ inline Args parseArgs(int argc, char** argv) {
     if (arg == "--full") {
       args.full = true;
     } else if (arg == "--max-n" && i + 1 < argc) {
-      args.maxN = std::atoll(argv[++i]);
+      args.maxN = parseIntFlag<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--trials" && i + 1 < argc) {
-      args.trials = std::atoi(argv[++i]);
+      args.trials = parseIntFlag<int>(arg, argv[++i]);
     } else if (arg == "--csv" && i + 1 < argc) {
       args.csvPath = argv[++i];
     } else if (arg == "--trials-csv" && i + 1 < argc) {
       args.trialsCsvPath = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      args.threads = std::atoi(argv[++i]);
+      args.threads = parseIntFlag<int>(arg, argv[++i]);
       if (args.threads <= 0) args.threads = resolveWorkers(0);
     } else if (arg == "--kernels-only") {
       args.kernelsOnly = true;
@@ -119,25 +153,25 @@ inline Args parseArgs(int argc, char** argv) {
     } else if (arg == "--steady-state") {
       args.steadyState = true;
     } else if (arg == "--events" && i + 1 < argc) {
-      args.events = std::atoll(argv[++i]);
+      args.events = parseIntFlag<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--shards" && i + 1 < argc) {
-      args.shards = std::atoi(argv[++i]);
+      args.shards = parseIntFlag<int>(arg, argv[++i]);
     } else if (arg == "--min-events-per-sec" && i + 1 < argc) {
-      args.minEventsPerSec = std::atof(argv[++i]);
+      args.minEventsPerSec = parseDoubleFlag(arg, argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
-      args.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      args.seed = parseIntFlag<std::uint64_t>(arg, argv[++i]);
     } else if (arg == "--skew" && i + 1 < argc) {
-      args.skew = std::atof(argv[++i]);
+      args.skew = parseDoubleFlag(arg, argv[++i]);
     } else if (arg == "--fast-math") {
       args.fastMath = true;
     } else if (arg == "--hosts" && i + 1 < argc) {
-      args.hosts = std::atoll(argv[++i]);
+      args.hosts = parseIntFlag<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--groups" && i + 1 < argc) {
-      args.groups = std::atoll(argv[++i]);
+      args.groups = parseIntFlag<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--packets" && i + 1 < argc) {
-      args.packets = std::atoll(argv[++i]);
+      args.packets = parseIntFlag<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--min-goodput" && i + 1 < argc) {
-      args.minGoodput = std::atof(argv[++i]);
+      args.minGoodput = parseDoubleFlag(arg, argv[++i]);
     } else {
       std::cerr << "usage: " << argv[0]
                 << " [--full] [--max-n N] [--trials T] [--csv PATH]"
@@ -153,6 +187,19 @@ inline Args parseArgs(int argc, char** argv) {
   }
   if (args.fastMath) kernels::fast_math::setEnabled(true);
   return args;
+}
+
+/// Runs a bench's body; an exception escaping it (an invalid parameter
+/// the library refuses, a failed check) is reported with its message and
+/// exit status 1 instead of ending in std::terminate. Bench mains are
+/// `return runGuarded(benchMain, argc, argv);`.
+inline int runGuarded(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << argv[0] << ": error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 /// Where the perf-trajectory files (BENCH_*.json) belong: the repository

@@ -63,7 +63,9 @@ void MulticastTree::finalize() {
 
   // Two-stage prefetch: the offset entry of the parent kAhead nodes ahead,
   // then the child slot of the parent kAhead / 2 ahead (an estimate; a
-  // sibling in between moves it by a slot or two).
+  // sibling in between moves it by a slot or two). The resize writes
+  // nothing: with every node attached the offsets sum to n - 1, so the
+  // scatter below fills every slot.
   constexpr std::size_t kAhead = 16;
   childList_.resize(n - 1);
   for (std::size_t v = n; v-- > 0;) {

@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "omt/common/default_init.h"
 #include "omt/common/error.h"
 #include "omt/common/types.h"
 
@@ -38,6 +39,19 @@ class MulticastTree {
   /// Attach `child` under `parent`. Each node may be attached once, the
   /// root never. Increments the parent's out-degree.
   void attach(NodeId child, NodeId parent, EdgeKind kind);
+
+  /// Prefetch hint for the slots attach() touches when `node` is attached
+  /// or gains a child: its parent link, edge kind and out-degree. It reads
+  /// no value and changes no state, so it may run while other threads
+  /// attach other nodes (the parallel grid build issues it for the members
+  /// of cells it will wire next).
+  void prefetch(NodeId node) const {
+    checkNode(node);
+    const auto i = static_cast<std::size_t>(node);
+    __builtin_prefetch(parent_.data() + i, 1);
+    __builtin_prefetch(kind_.data() + i, 1);
+    __builtin_prefetch(outDegree_.data() + i, 1);
+  }
 
   /// Whether the node has been attached (the root counts as attached).
   bool attached(NodeId node) const {
@@ -84,7 +98,7 @@ class MulticastTree {
 
   bool finalized_ = false;
   std::vector<std::int64_t> childOffset_;  // size + 1 entries
-  std::vector<NodeId> childList_;
+  DefaultInitVector<NodeId> childList_;  // every slot written by finalize()
   std::vector<NodeId> bfsOrder_;
 };
 
