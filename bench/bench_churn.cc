@@ -30,7 +30,7 @@ int runSteadyState(const Args& args) {
   const int shards =
       args.shards.value_or(0) > 0 ? *args.shards : resolveWorkers(0);
   const std::int64_t totalEvents =
-      args.events.value_or(args.full ? 2000000 : 400000);
+      args.events > 0 ? args.events : (args.full ? 2000000 : 400000);
   const std::int64_t eventsPerShard =
       std::max<std::int64_t>(1, totalEvents / shards);
 

@@ -5,8 +5,10 @@
 // Absolute seconds differ from the paper's Pentium II, of course.
 //
 // Construction is timed with the parallel pipeline at its effective worker
-// count (OMT_THREADS or auto), one build at a time, so --threads (which
-// runs other benches' trials in parallel) is refused with exit 2. Each row builds over the row's `trials` seeded point sets (the
+// count (OMT_THREADS or auto, capped at one worker per 1,000 points; the
+// Threads column), one build at a time, so --threads (which runs other
+// benches' trials in parallel) is refused with exit 2. Each row builds
+// over the row's `trials` seeded point sets (the
 // sets runRow samples), cycling through them after one untimed warm-up
 // build, until kRowBudgetSeconds of timed building has passed and at least
 // `trials` builds ran. It reports the median ns/node, its quartiles and
@@ -16,14 +18,19 @@
 // successive PRs can track the perf trajectory:
 //   {"bench": "fig7_construction", "rows": [{"n": ..., "seconds": ...,
 //    "ns_per_node": ..., "ns_per_node_q1": ..., "ns_per_node_q3": ...,
-//    "repeats": ..., "threads": ..., "fast_math": 0|1}, ...]}
-// where seconds and ns_per_node are medians. --fast-math (or
+//    "repeats": ..., "threads": ..., "fast_math": 0|1, "thp": ...}, ...]}
+// where seconds and ns_per_node are medians and thp is the machine's
+// transparent-huge-page mode (always, madvise or never; unavailable without
+// the switch), which decides whether a build's arrays of 2 MiB or more sit
+// on huge pages, so rows are only comparable under one mode. --fast-math (or
 // OMT_FAST_MATH=1) times the construction with the approximate kernel
 // tier; --max-n 5000000 reaches the paper's largest size without the rest
 // of the --full protocol.
 #include <algorithm>
+#include <string>
 
 #include "common.h"
+#include "omt/common/default_init.h"
 
 namespace {
 
@@ -40,7 +47,7 @@ omt::bench::RowStats timeRow(const omt::bench::RowSpec& spec) {
   using namespace omt;
   bench::RowStats row;
   row.n = spec.n;
-  row.buildWorkers = resolveWorkers(0);
+  row.buildWorkers = gridBuildWorkers(0, spec.n);
   const int sets = std::max(spec.trials, 1);
   std::vector<Point> points;
   int loaded = -1;
@@ -84,10 +91,12 @@ static int benchMain(int argc, char** argv) {
     }
   }
   const Args args = parseArgs(argc, argv);
+  const std::vector<RowSpec> rows = tableOneSizes(args);
+  const std::string thp = transparentHugePageMode();
 
   std::cout << "Figure 7: running time vs n (out-degree " << kDegree
             << "; median of builds repeated for " << kRowBudgetSeconds
-            << " s per row)\n\n";
+            << " s per row; transparent huge pages: " << thp << ")\n\n";
   TextTable table({"Nodes", "Seconds", "ns/node", "q1", "q3", "Repeats",
                    "Threads", "vs-prev-row"});
   auto csv = openCsv(args, {"n", "seconds", "ns_per_node", "ns_per_node_q1",
@@ -99,7 +108,7 @@ static int benchMain(int argc, char** argv) {
 
   double prevSeconds = 0.0;
   std::int64_t prevN = 0;
-  for (const RowSpec& spec : tableOneSizes(args)) {
+  for (const RowSpec& spec : rows) {
     const RowStats row = timeRow(spec);
     appendTrialRows(trialsCsv.get(), row);
     std::vector<double> seconds;
@@ -140,6 +149,7 @@ static int benchMain(int argc, char** argv) {
     json.field("threads", static_cast<std::int64_t>(row.buildWorkers));
     json.field("fast_math",
                static_cast<std::int64_t>(kernels::fast_math::enabled() ? 1 : 0));
+    json.field("thp", thp);
     json.endRow();
     prevSeconds = median;
     prevN = spec.n;

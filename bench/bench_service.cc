@@ -113,7 +113,7 @@ int runBench(const Args& args) {
   script.groups = args.groups > 0 ? args.groups : (args.full ? 1000 : 500);
   script.hosts = args.hosts > 0 ? args.hosts : (args.full ? 20000 : 10000);
   script.events =
-      args.events.value_or(args.full ? 1000000 : 200000);
+      args.events > 0 ? args.events : (args.full ? 1000000 : 200000);
   script.seed = args.seed;
   const std::int64_t batch = 1024;
   const double skew = args.skew > 0.0 ? args.skew : 1.0;

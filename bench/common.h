@@ -30,6 +30,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,6 +38,7 @@
 
 #include "omt/core/bounds.h"
 #include "omt/core/polar_grid_tree.h"
+#include "omt/grid/assignment.h"
 #include "omt/kernels/fast_math.h"
 #include "omt/obs/metrics.h"
 #include "omt/obs/obs.h"
@@ -71,7 +73,8 @@ struct Args {
   /// watchdog, invariant audits, BENCH_churn.json curves).
   bool steadyState = false;
   /// bench_churn --steady-state: total membership events across shards.
-  std::optional<std::int64_t> events;
+  /// bench_service: events in the replayed script (0 = bench default).
+  std::int64_t events = 0;
   /// bench_churn --steady-state: independent sharded sessions (0 = auto).
   std::optional<int> shards;
   /// bench_churn --steady-state: exit non-zero below this throughput
@@ -101,20 +104,24 @@ struct Args {
 
 /// Exits with status 2 and a message naming `flag` and its bad value.
 [[noreturn]] inline void badFlag(const std::string& flag, const char* text,
-                                 const char* expected) {
+                                 const std::string& expected) {
   std::cerr << "error: " << flag << " expects " << expected << ", got '"
             << text << "'\n";
   std::exit(2);
 }
 
 /// The value of an integer flag: the whole text must parse as an integer
-/// that T can hold (so `--max-n 1e5` is an error, not 1).
+/// that T can hold (so `--max-n 1e5` is an error, not 1), and be at least
+/// `min`.
 template <std::integral T>
-T parseIntFlag(const std::string& flag, const char* text) {
+T parseIntFlag(const std::string& flag, const char* text,
+               T min = std::numeric_limits<T>::min()) {
   T value{};
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, value);
   if (ec != std::errc() || ptr != end) badFlag(flag, text, "an integer");
+  if (value < min)
+    badFlag(flag, text, "an integer >= " + std::to_string(min));
   return value;
 }
 
@@ -136,9 +143,9 @@ inline Args parseArgs(int argc, char** argv) {
     if (arg == "--full") {
       args.full = true;
     } else if (arg == "--max-n" && i + 1 < argc) {
-      args.maxN = parseIntFlag<std::int64_t>(arg, argv[++i]);
+      args.maxN = parseIntFlag<std::int64_t>(arg, argv[++i], 1);
     } else if (arg == "--trials" && i + 1 < argc) {
-      args.trials = parseIntFlag<int>(arg, argv[++i]);
+      args.trials = parseIntFlag<int>(arg, argv[++i], 1);
     } else if (arg == "--csv" && i + 1 < argc) {
       args.csvPath = argv[++i];
     } else if (arg == "--trials-csv" && i + 1 < argc) {
@@ -153,9 +160,9 @@ inline Args parseArgs(int argc, char** argv) {
     } else if (arg == "--steady-state") {
       args.steadyState = true;
     } else if (arg == "--events" && i + 1 < argc) {
-      args.events = parseIntFlag<std::int64_t>(arg, argv[++i]);
+      args.events = parseIntFlag<std::int64_t>(arg, argv[++i], 0);
     } else if (arg == "--shards" && i + 1 < argc) {
-      args.shards = parseIntFlag<int>(arg, argv[++i]);
+      args.shards = parseIntFlag<int>(arg, argv[++i], 0);
     } else if (arg == "--min-events-per-sec" && i + 1 < argc) {
       args.minEventsPerSec = parseDoubleFlag(arg, argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -165,11 +172,11 @@ inline Args parseArgs(int argc, char** argv) {
     } else if (arg == "--fast-math") {
       args.fastMath = true;
     } else if (arg == "--hosts" && i + 1 < argc) {
-      args.hosts = parseIntFlag<std::int64_t>(arg, argv[++i]);
+      args.hosts = parseIntFlag<std::int64_t>(arg, argv[++i], 0);
     } else if (arg == "--groups" && i + 1 < argc) {
-      args.groups = parseIntFlag<std::int64_t>(arg, argv[++i]);
+      args.groups = parseIntFlag<std::int64_t>(arg, argv[++i], 0);
     } else if (arg == "--packets" && i + 1 < argc) {
-      args.packets = parseIntFlag<std::int64_t>(arg, argv[++i]);
+      args.packets = parseIntFlag<std::int64_t>(arg, argv[++i], 0);
     } else if (arg == "--min-goodput" && i + 1 < argc) {
       args.minGoodput = parseDoubleFlag(arg, argv[++i]);
     } else {
@@ -249,6 +256,13 @@ inline std::vector<RowSpec> tableOneSizes(const Args& args) {
     if (args.trials) trials = *args.trials;
     rows.push_back({n, trials});
   }
+  // Only a --max-n under the smallest size selects nothing; refuse it
+  // before a bench writes an empty table over its BENCH_*.json.
+  if (rows.empty()) {
+    std::cerr << "error: --max-n " << *args.maxN
+              << " selects no size; the smallest is " << sizes.front() << "\n";
+    std::exit(2);
+  }
   return rows;
 }
 
@@ -308,7 +322,7 @@ inline RowStats runRow(std::int64_t n, int trials, int degree, int dim,
   RowStats row;
   row.n = n;
   row.trialThreads = std::min<std::int64_t>(threads, trials);
-  row.buildWorkers = row.trialThreads > 1 ? 1 : resolveWorkers(0);
+  row.buildWorkers = row.trialThreads > 1 ? 1 : gridBuildWorkers(0, n);
   for (const RowStats& local : partial) {
     row.delay.merge(local.delay);
     row.core.merge(local.core);

@@ -110,7 +110,7 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
   OMT_CHECK(source >= 0 && source < n, "source index out of range");
   OMT_CHECK(options.maxOutDegree >= 2, "out-degree cap must be at least 2");
   const int d = points.front().dim();
-  const int workers = resolveWorkers(options.workers);
+  const int workers = gridBuildWorkers(options.workers, n);
 
   const obs::TraceSpan span("build_polar_grid_tree", "core");
   coreMetrics().builds.add();
@@ -134,7 +134,7 @@ PolarGridResult buildPolarGridTree(std::span<const Point> points,
   // written by exactly one chunk, so the pass is race-free and its output
   // independent of the chunking.
   const std::uint64_t heapIds = grid.heapIdCount();
-  std::vector<NodeId> rep(heapIds, kNoNode);
+  DefaultInitVector<NodeId> rep(heapIds, kNoNode);
   obs::TraceSpan repsSpan("stage2a_representatives", "core", span.id());
   // Each chunk gathers its occupied cells, builds their inner-arc
   // midpoints in SoA lanes on the worker's arena, and converts them with

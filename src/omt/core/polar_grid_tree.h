@@ -42,8 +42,9 @@ struct PolarGridOptions {
   /// Hard cap on the ring count (testing hook; the default never binds).
   int maxRings = PolarGrid::kMaxRings;
   /// Worker threads for the construction pipeline; 0 = auto (OMT_THREADS
-  /// environment variable, else half the hardware threads). The built tree
-  /// is byte-identical for every value (see docs/performance.md).
+  /// environment variable, else half the hardware threads), capped at one
+  /// worker per kPointsPerWorker points (omt/grid/assignment.h). The built
+  /// tree is byte-identical for every value (see docs/performance.md).
   int workers = 0;
 };
 

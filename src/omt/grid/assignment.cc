@@ -123,6 +123,12 @@ std::int64_t csrBlockCount(std::int64_t n, std::size_t heapIds, int workers) {
 
 }  // namespace
 
+int gridBuildWorkers(int requested, std::int64_t n) {
+  return static_cast<int>(std::min<std::int64_t>(
+      resolveWorkers(requested),
+      std::max<std::int64_t>(1, n / kPointsPerWorker)));
+}
+
 PolarCoords GridAssignment::polarOf(NodeId i) const {
   const int dim = grid.dim();
   const double* p = packedPolar.data() +
@@ -168,7 +174,7 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
   // near 2^31 points could not have been materialised.
   OMT_CHECK(n <= std::numeric_limits<std::int32_t>::max(),
             "grid assignment supports at most 2^31 - 1 points");
-  const int workers = resolveWorkers(options.workers);
+  const int workers = gridBuildWorkers(options.workers, n);
   const auto slots = static_cast<std::size_t>(workers);
 
   const obs::TraceSpan span("assign_to_grid", "grid");
@@ -306,7 +312,7 @@ GridAssignment assignToGrid(std::span<const Point> points, NodeId source,
             ++row[chosenHeapId(i)];
         }
       });
-  out.cellStart.resize(heapIds + 1);
+  out.cellStart.resize(heapIds + 1);  // the prefix pass writes every start
   std::int32_t next = 0;
   std::int64_t occupied = 0;
   for (std::size_t h = 0; h < heapIds; ++h) {

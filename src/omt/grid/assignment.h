@@ -46,7 +46,7 @@ struct GridAssignment {
   /// CSR of point indices grouped by cell heap id:
   /// members of heap id h are cellMembers[cellStart[h] .. cellStart[h+1]),
   /// in increasing point index (the block-ordered scatter's own order).
-  std::vector<std::int64_t> cellStart;
+  DefaultInitVector<std::int64_t> cellStart;
   DefaultInitVector<NodeId> cellMembers;
 
   /// Number of non-empty cells, cached by assignToGrid (-1 = not cached;
@@ -94,10 +94,22 @@ struct AssignmentOptions {
   /// known a priori.
   std::optional<double> outerRadius = std::nullopt;
   /// Worker threads for the O(n) passes; 0 = auto (OMT_THREADS environment
-  /// variable, else half the hardware threads). The result is byte-for-byte
-  /// independent of this value.
+  /// variable, else half the hardware threads), capped by
+  /// gridBuildWorkers. The result is byte-for-byte independent of this
+  /// value.
   int workers = 0;
 };
+
+/// Points a build's passes give each worker at least: a pass's fixed cost
+/// of waking pool helpers outweighs its work below about a thousand points
+/// a worker (one and four workers build an n = 500-1,000 tree equally
+/// fast), so a small build runs on fewer workers, down to one.
+inline constexpr std::int64_t kPointsPerWorker = 1000;
+
+/// The worker count a build over n points runs its passes on:
+/// resolveWorkers(requested), capped at one worker per kPointsPerWorker
+/// points.
+int gridBuildWorkers(int requested, std::int64_t n);
 
 /// Assign `points` to the maximal-k grid centered at points[source].
 /// Requires n >= 1, all points of equal dimension >= 2, and every point

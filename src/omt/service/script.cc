@@ -5,7 +5,9 @@
 #include <cstddef>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "omt/common/error.h"
@@ -21,6 +23,21 @@ std::uint64_t memberKey(const ScriptOptions& options, GroupId group,
   return static_cast<std::uint64_t>(group) *
              static_cast<std::uint64_t>(options.hosts) +
          static_cast<std::uint64_t>(host);
+}
+
+/// `token` parsed whole as a T, or nullopt: `7.5` is no integer and `+4`
+/// none either. A floating-point value must also be finite, since
+/// from_chars reads "inf" and "nan".
+template <typename T>
+std::optional<T> parseWhole(const std::string& token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace
@@ -185,28 +202,46 @@ std::vector<MembershipEvent> loadMembershipScript(const std::string& path,
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
-    std::string first;
-    ls >> first;
-    if (first == "dim") {
-      OMT_CHECK(static_cast<bool>(ls >> dim) && dim >= 1 && dim <= kMaxDim,
+    std::vector<std::string> fields;
+    for (std::string field; ls >> field;) fields.push_back(std::move(field));
+    if (fields.empty()) continue;
+    if (fields[0] == "dim") {
+      const std::optional<int> parsed =
+          fields.size() == 2 ? parseWhole<int>(fields[1]) : std::nullopt;
+      OMT_CHECK(parsed && *parsed >= 1 && *parsed <= kMaxDim,
                 "bad dim line in script '" + path + "'");
+      dim = *parsed;
       continue;
     }
     OMT_CHECK(dim >= 1, "script '" + path + "' events precede the dim line");
+    const std::optional<double> time = parseWhole<double>(fields[0]);
+    OMT_CHECK(time.has_value(), "script time '" + fields[0] +
+                                    "' is not a finite number: " + line);
+    OMT_CHECK(fields.size() >= 4, "malformed script line: " + line);
+    const std::optional<GroupId> group = parseWhole<GroupId>(fields[1]);
+    OMT_CHECK(group.has_value(),
+              "script group '" + fields[1] + "' is not an integer: " + line);
+    const std::string& kind = fields[2];
+    const std::optional<HostId> host = parseWhole<HostId>(fields[3]);
+    OMT_CHECK(host.has_value(),
+              "script host '" + fields[3] + "' is not an integer: " + line);
     MembershipEvent e;
-    std::string kind;
-    const char* end = first.data() + first.size();
-    const auto [ptr, ec] = std::from_chars(first.data(), end, e.time);
-    OMT_CHECK(ec == std::errc() && ptr == end && std::isfinite(e.time),
-              "script time '" + first + "' is not a finite number: " + line);
-    OMT_CHECK(static_cast<bool>(ls >> e.group >> kind >> e.host),
-              "malformed script line: " + line);
+    e.time = *time;
+    e.group = *group;
+    e.host = *host;
+    std::size_t used = 4;
     if (kind == "J") {
       e.kind = ServiceEventKind::kJoin;
       e.position = Point(dim);
-      for (int c = 0; c < dim; ++c)
-        OMT_CHECK(static_cast<bool>(ls >> e.position[c]),
-                  "join line missing coordinates: " + line);
+      OMT_CHECK(fields.size() >= used + static_cast<std::size_t>(dim),
+                "join line missing coordinates: " + line);
+      for (int c = 0; c < dim; ++c) {
+        const std::optional<double> x = parseWhole<double>(fields[used]);
+        OMT_CHECK(x.has_value(), "script coordinate '" + fields[used] +
+                                     "' is not a finite number: " + line);
+        e.position[c] = *x;
+        ++used;
+      }
     } else if (kind == "L") {
       e.kind = ServiceEventKind::kLeave;
     } else if (kind == "C") {
@@ -214,9 +249,8 @@ std::vector<MembershipEvent> loadMembershipScript(const std::string& path,
     } else {
       throw InvalidArgument("unknown event kind '" + kind + "' in " + path);
     }
-    std::string extra;
-    OMT_CHECK(!(ls >> extra),
-              "trailing '" + extra + "' on script line: " + line);
+    OMT_CHECK(fields.size() == used,
+              "trailing '" + fields[used] + "' on script line: " + line);
     events.push_back(std::move(e));
   }
   if (dimOut) *dimOut = dim;

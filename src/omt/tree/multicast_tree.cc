@@ -49,7 +49,8 @@ void MulticastTree::finalize() {
   // are its prefix sum. childOffset_[v] first holds the END of v's children;
   // the scatter walks v downwards and pre-decrements, which lists each
   // node's children in increasing id and leaves childOffset_[v] at their
-  // start, with no cursor copy.
+  // start, with no cursor copy. The resize writes nothing: the prefix pass
+  // writes all n + 1 offsets.
   const std::size_t n = parent_.size();
   childOffset_.resize(n + 1);
   std::int64_t total = 0;
@@ -121,7 +122,7 @@ std::span<const NodeId> MulticastTree::childrenOf(NodeId node) const {
   return {childList_.data() + begin, static_cast<std::size_t>(end - begin)};
 }
 
-const std::vector<NodeId>& MulticastTree::bfsOrder() const {
+std::span<const NodeId> MulticastTree::bfsOrder() const {
   OMT_CHECK(finalized_, "bfsOrder() before finalize()");
   return bfsOrder_;
 }

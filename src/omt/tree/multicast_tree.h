@@ -9,12 +9,13 @@
 // the longest all-core root path.
 //
 // Designed for multi-million-node trees: parent/kind arrays during
-// construction, a CSR child adjacency built once by finalize().
+// construction, a CSR child adjacency built once by finalize(). Every array
+// is a DefaultInitVector, so at scale each sits on its own huge-page
+// mapping, given back to the kernel with the tree.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "omt/common/default_init.h"
 #include "omt/common/error.h"
@@ -84,7 +85,7 @@ class MulticastTree {
 
   /// Nodes in breadth-first order from the root; requires finalize().
   /// Guaranteed to list parents before children.
-  const std::vector<NodeId>& bfsOrder() const;
+  std::span<const NodeId> bfsOrder() const;
 
  private:
   void checkNode(NodeId node) const {
@@ -92,14 +93,15 @@ class MulticastTree {
   }
 
   NodeId root_;
-  std::vector<NodeId> parent_;
-  std::vector<EdgeKind> kind_;
-  std::vector<std::int32_t> outDegree_;
+  DefaultInitVector<NodeId> parent_;
+  DefaultInitVector<EdgeKind> kind_;
+  DefaultInitVector<std::int32_t> outDegree_;
 
   bool finalized_ = false;
-  std::vector<std::int64_t> childOffset_;  // size + 1 entries
-  DefaultInitVector<NodeId> childList_;  // every slot written by finalize()
-  std::vector<NodeId> bfsOrder_;
+  // finalize() writes every slot of the CSR before reading any.
+  DefaultInitVector<std::int64_t> childOffset_;  // size + 1 entries
+  DefaultInitVector<NodeId> childList_;
+  DefaultInitVector<NodeId> bfsOrder_;
 };
 
 }  // namespace omt

@@ -16,6 +16,19 @@ endfunction()
 # Integer flags: `1e5` must not read as 1, nor `3x` as 3.
 expect_exit(2 "--max-n expects an integer, got '1e5'" ${FIG7} --max-n 1e5)
 expect_exit(2 "--trials expects an integer, got '3x'" ${FIG7} --trials 3x)
+# Counts are range-checked: a sweep capped below its smallest size, or with
+# no trials, is refused before BENCH_construction.json is rewritten with an
+# empty row list; a negative count is never a bench default.
+file(REMOVE ${WORKDIR}/BENCH_construction.json)
+expect_exit(2 "--max-n expects an integer >= 1, got '0'" ${FIG7} --max-n 0)
+expect_exit(2 "--max-n 50 selects no size; the smallest is 100"
+            ${FIG7} --max-n 50)
+expect_exit(2 "--trials expects an integer >= 1, got '0'" ${FIG7} --trials 0)
+if(EXISTS ${WORKDIR}/BENCH_construction.json)
+  message(FATAL_ERROR "a refused sweep wrote BENCH_construction.json")
+endif()
+expect_exit(2 "--events expects an integer >= 0, got '-1'"
+            ${CHURN} --steady-state --events -1)
 # Figure 7 times one build at a time and refuses --threads.
 expect_exit(2 "--threads does not apply to bench_fig7_runtime"
             ${FIG7} --threads 4)

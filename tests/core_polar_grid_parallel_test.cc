@@ -5,12 +5,18 @@
 // hardware's). The grid-level outputs (coreEdgeCount, occupiedCells, the
 // eq. (7) bound) must match too. Under OMT_SANITIZE this doubles as the
 // race detector for the per-cell wiring partitioning.
+//
+// A build runs on at most one worker per kPointsPerWorker points, so the
+// cases of n <= 1,000 run on one worker whatever they request, and the
+// 20,000-point cases are the ones that run 2, 7 and 16 workers at every
+// degree.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "omt/core/polar_grid_tree.h"
+#include "omt/grid/assignment.h"
 #include "omt/random/samplers.h"
 #include "omt/tree/validation.h"
 
@@ -80,6 +86,22 @@ TEST(PolarGridParallelTest, ThreeDimensionsAcrossDegrees) {
   for (const int degree : {2, 3, 6, 10}) {
     expectDeterministic(1000, 3, degree, 906);
     expectDeterministic(10000, 3, degree, 907);
+  }
+}
+
+TEST(PolarGridParallelTest, WorkerCountIsCappedBySize) {
+  EXPECT_EQ(gridBuildWorkers(16, 100), 1);
+  EXPECT_EQ(gridBuildWorkers(16, 1999), 1);
+  EXPECT_EQ(gridBuildWorkers(16, 2000), 2);
+  EXPECT_EQ(gridBuildWorkers(16, 7500), 7);
+  EXPECT_EQ(gridBuildWorkers(16, 20000), 16);
+  EXPECT_EQ(gridBuildWorkers(2, 1000000), 2);
+}
+
+TEST(PolarGridParallelTest, AboveTheWorkerCapAcrossDegrees) {
+  for (const int degree : {2, 3, 6, 10}) {
+    expectDeterministic(20000, 2, degree, 909);
+    expectDeterministic(20000, 3, degree, 910);
   }
 }
 

@@ -345,6 +345,14 @@ TEST(ServiceScriptTest, LoaderRejectsMalformedRecords) {
   load("0.5x 0 J 1 0.1 0.2");
   load("0.5 0 J 1 0.1 0.2 0.3");
   load("0.5 0 L 1 extra");
+  // Group, host and coordinates parse whole: `7.5` must not load as host 7
+  // at (0.5, 0.2), nor `+4` as group 4, and a coordinate must be finite.
+  load("0.5 3 J 7.5 0.2");
+  load("0.6 +4 J 8 0.1 0.3");
+  load("0.5 0 J 1 inf 0.2");
+  load("0.5 0 J 1 0.1 nan");
+  load("0.5 0 J 1 0.1 0.2x");
+  load("0.5 1x L 1");
   std::remove(path.c_str());
 }
 

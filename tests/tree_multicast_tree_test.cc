@@ -1,6 +1,7 @@
 #include "omt/tree/multicast_tree.h"
 
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,9 @@ TEST(MulticastTreeTest, SingleNodeTree) {
   EXPECT_EQ(tree.size(), 1);
   EXPECT_EQ(tree.root(), 0);
   EXPECT_TRUE(tree.childrenOf(0).empty());
-  EXPECT_EQ(tree.bfsOrder(), std::vector<NodeId>{0});
+  const auto order = tree.bfsOrder();
+  EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()),
+            std::vector<NodeId>{0});
 }
 
 TEST(MulticastTreeTest, AttachBuildsParentChildStructure) {
