@@ -28,10 +28,12 @@
 // and delay metrics. Degree caps are never violated at any point in time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "omt/common/prefetch.h"
 #include "omt/common/types.h"
 #include "omt/geometry/point.h"
 #include "omt/grid/polar_grid.h"
@@ -259,6 +261,44 @@ class OverlaySession {
   /// True after a structural escalation (regrid) re-placed every host.
   bool changeOverflow() const { return changeOverflow_; }
   void clearChanges();
+
+  // --- Prefetch hints (the service's claim loop) ---------------------------
+  // Hints only, like MulticastTree::prefetch: they read the session's own
+  // vector headers and change no state. The service issues them for the
+  // group a worker mutates next, so the next group's misses overlap the
+  // current group's work. Every line they name is written by the event
+  // that follows, so they prefetch for writing.
+
+  /// The lines a membership event touches first: the append slots of the
+  /// host table and the change journal, the source's host record, and the
+  /// heads of the cell tables.
+  void prefetch() const {
+    constexpr auto kWrite = PrefetchFor::kWrite;
+    const auto head = [](const auto& v) {
+      prefetchRange(v.data(),
+                    std::min(v.size() * sizeof(*v.data()),
+                             2 * kCacheLineBytes),
+                    kWrite);
+    };
+    const std::size_t next = hosts_.size();
+    if (next < hosts_.capacity())
+      prefetchRange(hosts_.data() + next, sizeof(Host), kWrite);
+    if (next < changeStamp_.size())
+      prefetchLine(changeStamp_.data() + next, kWrite);
+    prefetchLine(changedNodes_.data() + changedNodes_.size(), kWrite);
+    prefetchRange(hosts_.data(), sizeof(Host), kWrite);
+    head(cellMembers_);
+    head(cellRep_);
+  }
+  /// The host record of `node` and its journal stamp: a leave or a crash
+  /// writes them first. Ids outside the host table are ignored.
+  void prefetchHost(NodeId node) const {
+    const auto i = static_cast<std::size_t>(node);
+    if (node < 0 || i >= hosts_.size()) return;
+    prefetchRange(hosts_.data() + i, sizeof(Host), PrefetchFor::kWrite);
+    if (i < changeStamp_.size())
+      prefetchLine(changeStamp_.data() + i, PrefetchFor::kWrite);
+  }
 
   double outerRadius() const { return grid_.outerRadius(); }
 

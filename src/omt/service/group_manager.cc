@@ -1,12 +1,15 @@
 #include "omt/service/group_manager.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <thread>
 #include <utility>
 
 #include "omt/common/error.h"
+#include "omt/common/prefetch.h"
 #include "omt/obs/metrics.h"
+#include "omt/obs/trace.h"
 #include "omt/parallel/thread_pool.h"
 #include "omt/random/rng.h"
 #include "omt/rpc/reliable_session.h"
@@ -85,6 +88,44 @@ void addPassStats(ServiceStats& into, const ServiceStats& from) {
   into.parkedJoins += from.parkedJoins;
 }
 
+/// Runs a claim-loop worker holds beyond the one it is working on: the
+/// first has its session internals prefetched, the second its state
+/// objects, the third its slot.
+constexpr int kClaimAhead = 3;
+
+/// Bits per pass of the batch partition's radix sorts: the default 2^20
+/// group ids take two passes, and one pass's counters fit in L1.
+constexpr int kRadixBits = 11;
+constexpr std::size_t kRadixBuckets = std::size_t{1} << kRadixBits;
+
+/// Stable LSD radix sort of `items` by key(item) <= maxKey, ascending, in
+/// kRadixBits-bit digits. `scratch` is the second buffer the passes
+/// alternate with (kept by the caller, so the steady state allocates
+/// nothing); the sorted result always ends in `items`, whose storage may
+/// have come from `scratch`. A pass whose digit every item shares is
+/// skipped: it would not move anything.
+template <class T, class Key>
+void radixSort(std::vector<T>& items, std::vector<T>& scratch,
+               std::uint64_t maxKey, const Key& key) {
+  if (items.size() < 2) return;
+  scratch.resize(items.size());
+  std::array<std::uint32_t, kRadixBuckets> start;
+  for (int shift = 0; shift < 64 && (maxKey >> shift) != 0;
+       shift += kRadixBits) {
+    const auto digit = [&](const T& item) {
+      return static_cast<std::size_t>(key(item) >> shift) &
+             (kRadixBuckets - 1);
+    };
+    start.fill(0);
+    for (const T& item : items) ++start[digit(item)];
+    if (start[digit(items.front())] == items.size()) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& s : start) sum += std::exchange(s, sum);
+    for (const T& item : items) scratch[start[digit(item)]++] = item;
+    items.swap(scratch);
+  }
+}
+
 }  // namespace
 
 /// Builder-side state of one live group; touched only by the worker that
@@ -161,6 +202,9 @@ struct GroupManager::GroupSlot {
   /// in-place reuse (slab + control block) once every reader has dropped
   /// it — the last allocation on the steady-state publish path.
   std::shared_ptr<const RouteTable> spare;
+  /// lastTable's member count, next to `created` so the batch pre-pass
+  /// weighs a run from the slot line it already reads.
+  std::int64_t publishedSize = 0;
   double publishStamp = 0.0;  ///< wall clock of last publish (measureLatency)
   bool created = false;
   bool dirty = false;  ///< touched since last publish
@@ -170,11 +214,13 @@ struct GroupManager::GroupSlot {
 };
 
 /// One worker slot's tally for one batch or quiesce pass. Integer sums
-/// only, so the merged total does not depend on which slot ran what.
-struct GroupManager::WorkerReport {
+/// only, so the merged total does not depend on which slot ran what. Each
+/// tally has its own cache lines: the workers bump them on every event.
+struct alignas(kCacheLineBytes) GroupManager::WorkerReport {
   ServiceStats stats;
   std::int64_t load = 0;  ///< work units this pass (events + published hosts)
   std::int64_t degraded = 0;  ///< groups quiesce() left degraded
+  std::int64_t created = 0;   ///< group states created (stats.teardowns ends them)
 };
 
 /// One touched group's share of a batch: order_[begin, end) holds that
@@ -278,6 +324,7 @@ void GroupManager::applyEvent(GroupSlot& slot, const MembershipEvent& event,
               "group " + std::to_string(event.group) +
                   ": departure event for a group with no members");
     createState(slot, event.group, event.position.dim());
+    ++report.created;
   }
   GroupState& state = *slot.state;
   state.lastEventTime = event.time;
@@ -418,6 +465,7 @@ void GroupManager::publish(GroupSlot& slot, GroupId group,
     ++slot.stats.deltaPublishes;
     ++report.stats.deltaPublishes;
   }
+  slot.publishedSize = table->size();
   slot.lastTable = table;
   // The swap retires the table published two epochs ago: lastTable held the
   // only builder-side reference until the line above replaced it, so after
@@ -428,40 +476,135 @@ void GroupManager::publish(GroupSlot& slot, GroupId group,
   if (options_.measureLatency) slot.publishStamp = wallNow();
 }
 
-GroupManager::WorkerReport GroupManager::claimEach(
-    std::int64_t count,
-    const std::function<void(std::int64_t, WorkerReport&)>& fn) {
+template <class GroupOf, class Hint, class Fn>
+GroupManager::WorkerReport GroupManager::claimEach(std::int64_t count,
+                                                   const GroupOf& groupOf,
+                                                   const Hint& hint,
+                                                   const Fn& fn) {
   reports_.assign(reports_.size(), WorkerReport{});
-  if (workers_ == 1) {
-    for (std::int64_t i = 0; i < count; ++i) fn(i, reports_[0]);
-  } else {
-    // One index per claim: a chunk of several would hand the heaviest
-    // runs at the front of the order to a single worker.
-    globalPool().run(0, count, workers_, /*chunk=*/1,
-                     [&](std::int64_t i, std::int64_t, int slot) {
-                       fn(i, reports_[static_cast<std::size_t>(slot)]);
-                     });
+  std::atomic<std::int64_t> cursor{0};
+  std::atomic<bool> failed{false};
+
+  // One loop per worker slot. A held item's group state is cold when it is
+  // claimed, so each step up the window starts the next misses before the
+  // loop needs them: the slot lines when an item is claimed (the third
+  // ahead), then the objects the slot points at (the second ahead), then
+  // the session's and tables' first lines and the item's own hints (the
+  // next item). Everything read or prefetched belongs to an item this
+  // worker claimed, so no other worker touches it during the pass. Claims
+  // go out in index order, heaviest run first in apply(), so the items a
+  // worker still holds once the cursor runs out are the lightest.
+  const auto work = [&](WorkerReport& report) {
+    struct Held {
+      std::int64_t item;
+      GroupSlot* slot;
+    };
+    std::array<Held, kClaimAhead + 1> held;
+    int n = 0;
+    bool more = true;
+    const auto claim = [&] {
+      if (!more || failed.load(std::memory_order_relaxed)) return false;
+      const std::int64_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) {
+        more = false;
+        return false;
+      }
+      held[static_cast<std::size_t>(n++)] = {i, slotFor(groupOf(i))};
+      return true;
+    };
+    constexpr auto kWrite = PrefetchFor::kWrite;
+    const auto nearSlot = [](const Held& h) {
+      prefetchRange(h.slot, sizeof(GroupSlot), kWrite);
+    };
+    const auto nearObjects = [](const Held& h) {
+      if (const GroupState* state = h.slot->state.get())
+        prefetchRange(state, sizeof(GroupState), kWrite);
+      if (const RouteTable* table = h.slot->lastTable.get())
+        prefetchRange(table, sizeof(RouteTable), kWrite);
+      if (const RouteTable* table = h.slot->spare.get())
+        prefetchRange(table, sizeof(RouteTable), kWrite);
+    };
+    const auto nearSession = [&](const Held& h) {
+      if (const RouteTable* table = h.slot->lastTable.get())
+        table->prefetch(PrefetchFor::kRead);
+      if (const RouteTable* table = h.slot->spare.get())
+        table->prefetch(kWrite);
+      if (GroupState* state = h.slot->state.get()) {
+        state->session.prefetch();
+        hint(h.item, *state);
+      }
+    };
+
+    // Prime the window: an item claimed straight into position p gets the
+    // stages of every position from the third down to p at once.
+    static_assert(kClaimAhead == 3, "one prefetch stage per position ahead");
+    while (n <= kClaimAhead && claim()) {
+    }
+    for (int p = 1; p < n; ++p) nearSlot(held[static_cast<std::size_t>(p)]);
+    for (int p = 1; p < std::min(n, 3); ++p)
+      nearObjects(held[static_cast<std::size_t>(p)]);
+    if (n > 1) nearSession(held[1]);
+    // A throw anywhere stops every worker before its next item: the items
+    // it holds are dropped unstarted, like items nobody claimed.
+    while (n > 0 && !failed.load(std::memory_order_relaxed)) {
+      try {
+        fn(held[0].item, *held[0].slot, report);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
+      std::move(held.begin() + 1, held.begin() + n, held.begin());
+      --n;
+      if (n > 2) nearObjects(held[2]);
+      if (n > 1) nearSession(held[1]);
+      if (claim()) nearSlot(held[static_cast<std::size_t>(n - 1)]);
+    }
+  };
+
+  try {
+    const auto loops =
+        static_cast<int>(std::min<std::int64_t>(workers_, count));
+    if (loops <= 1) {
+      work(reports_[0]);
+    } else {
+      // One pool index per worker loop; the loops claim the items.
+      globalPool().run(0, loops, loops, /*chunk=*/1,
+                       [&](std::int64_t, std::int64_t, int slot) {
+                         work(reports_[static_cast<std::size_t>(slot)]);
+                       });
+    }
+  } catch (...) {
+    foldReports();
+    throw;
   }
+  return foldReports();
+}
+
+GroupManager::WorkerReport GroupManager::foldReports() {
   WorkerReport total;
   for (std::size_t w = 0; w < reports_.size(); ++w) {
     addPassStats(total.stats, reports_[w].stats);
     total.degraded += reports_[w].degraded;
+    total.created += reports_[w].created;
     workerLoad_[w] += reports_[w].load;
   }
   addPassStats(stats_, total.stats);
+  liveGroups_ += total.created - total.stats.teardowns;
   flushStatsMetrics(total.stats);
-  serviceMetrics().groups.set(static_cast<double>(liveGroupCount()));
+  serviceMetrics().groups.set(static_cast<double>(liveGroups_));
   return total;
 }
 
 ApplyReport GroupManager::apply(std::span<const MembershipEvent> events) {
   const double arrival = options_.measureLatency ? wallNow() : 0.0;
+  const obs::TraceSpan span("service_apply", "service");
   // Serial pre-pass on the writer thread, so the parallel phase makes no
   // structural change a concurrent reader could race with. A batch with an
   // id no event may carry is refused whole, before any slot is installed;
   // then every slot is installed and the batch grouped into one run per
-  // touched group. Sorting (group, event index) pairs lays each group's
-  // events out contiguously and in batch order.
+  // touched group. A stable radix sort of (group, event index) pairs by
+  // group lays each group's events out contiguously and in batch order.
+  obs::TraceSpan partitionSpan("service_partition", "service", span.id());
   for (const MembershipEvent& event : events) {
     OMT_CHECK(event.group >= 0 && event.group < options_.maxGroups,
               "group id " + std::to_string(event.group) + " outside [0, " +
@@ -471,36 +614,59 @@ ApplyReport GroupManager::apply(std::span<const MembershipEvent> events) {
                                    ": host id " + std::to_string(event.host) +
                                    " is negative");
   }
-  order_.clear();
+  order_.resize(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     ensureSlot(events[i].group);
-    order_.emplace_back(events[i].group, i);
+    order_[i] = {events[i].group, i};
   }
-  std::sort(order_.begin(), order_.end());
+  radixSort(order_, orderScratch_,
+            static_cast<std::uint64_t>(options_.maxGroups - 1),
+            [](const std::pair<GroupId, std::size_t>& e) {
+              return static_cast<std::uint64_t>(e.first);
+            });
   runs_.clear();
+  runs_.reserve(events.size());
+  std::int64_t heaviest = 0;
+  std::int64_t lightest = 0;
   for (std::size_t begin = 0, end = 0; begin < order_.size(); begin = end) {
     const GroupId group = order_[begin].first;
     while (end < order_.size() && order_[end].first == group) ++end;
-    const GroupSlot& slot = *slotFor(group);
-    const std::int64_t size = slot.lastTable ? slot.lastTable->size() : 0;
-    runs_.push_back({static_cast<std::int64_t>(end - begin) + size, group,
-                     begin, end});
+    const std::int64_t weight = static_cast<std::int64_t>(end - begin) +
+                                slotFor(group)->publishedSize;
+    heaviest = runs_.empty() ? weight : std::max(heaviest, weight);
+    lightest = runs_.empty() ? weight : std::min(lightest, weight);
+    runs_.push_back({weight, group, begin, end});
   }
-  // Heaviest first (ties by group id), so the long runs start early and
-  // the short ones fill in around them.
-  std::sort(runs_.begin(), runs_.end(), [](const Run& a, const Run& b) {
-    return a.weight != b.weight ? a.weight > b.weight : a.group < b.group;
-  });
+  // Heaviest first, ties by group id, so the long runs start early and
+  // the short ones fill in around them: a stable sort of the
+  // group-ascending runs by ascending (heaviest - weight).
+  radixSort(runs_, runsScratch_,
+            static_cast<std::uint64_t>(heaviest - lightest),
+            [heaviest](const Run& run) {
+              return static_cast<std::uint64_t>(heaviest - run.weight);
+            });
+  partitionSpan.end();
 
+  obs::TraceSpan runsSpan("service_runs", "service", span.id());
   const WorkerReport total = claimEach(
       static_cast<std::int64_t>(runs_.size()),
-      [&](std::int64_t r, WorkerReport& report) {
+      [&](std::int64_t r) { return runs_[static_cast<std::size_t>(r)].group; },
+      [&](std::int64_t r, const GroupState& state) {
+        // A leave or a crash reads the departing host's record first.
         const Run& run = runs_[static_cast<std::size_t>(r)];
-        GroupSlot& slot = *slotFor(run.group);
+        for (std::size_t k = run.begin; k < run.end; ++k) {
+          const MembershipEvent& event = events[order_[k].second];
+          if (event.kind == ServiceEventKind::kJoin) continue;
+          state.session.prefetchHost(state.nodeOf.find(event.host));
+        }
+      },
+      [&](std::int64_t r, GroupSlot& slot, WorkerReport& report) {
+        const Run& run = runs_[static_cast<std::size_t>(r)];
         for (std::size_t k = run.begin; k < run.end; ++k)
           applyEvent(slot, events[order_[k].second], report);
         publish(slot, run.group, report);
       });
+  runsSpan.end();
 
   ApplyReport result;
   result.events = static_cast<std::int64_t>(events.size());
@@ -551,14 +717,17 @@ bool GroupManager::quiesceGroup(GroupSlot& slot, GroupId group, double now,
 }
 
 std::int64_t GroupManager::quiesce(double now, int maxRounds) {
-  return claimEach(static_cast<std::int64_t>(createdGroups_.size()),
-                   [&](std::int64_t i, WorkerReport& report) {
-                     const GroupId group =
-                         createdGroups_[static_cast<std::size_t>(i)];
-                     if (!quiesceGroup(*slotFor(group), group, now,
-                                       maxRounds, report))
-                       ++report.degraded;
-                   })
+  const obs::TraceSpan span("service_quiesce", "service");
+  const auto groupOf = [&](std::int64_t i) {
+    return createdGroups_[static_cast<std::size_t>(i)];
+  };
+  return claimEach(
+             static_cast<std::int64_t>(createdGroups_.size()), groupOf,
+             [](std::int64_t, const GroupState&) {},
+             [&](std::int64_t i, GroupSlot& slot, WorkerReport& report) {
+               if (!quiesceGroup(slot, groupOf(i), now, maxRounds, report))
+                 ++report.degraded;
+             })
       .degraded;
 }
 
@@ -573,24 +742,9 @@ HostId GroupManager::parentOf(GroupId group, HostId host) const {
   return table ? table->parentOf(host) : kNotMember;
 }
 
-std::vector<HostId> GroupManager::childrenOf(GroupId group,
-                                             HostId host) const {
-  const auto table = routes(group);
-  if (!table) return {};
-  const auto span = table->childrenOf(host);
-  return {span.begin(), span.end()};
-}
-
 std::uint64_t GroupManager::epochOf(GroupId group) const {
   const auto table = routes(group);
   return table ? table->epoch() : 0;
-}
-
-std::int64_t GroupManager::liveGroupCount() const {
-  std::int64_t live = 0;
-  for (const GroupId group : createdGroups_)
-    if (slotFor(group)->state) ++live;
-  return live;
 }
 
 std::int64_t GroupManager::liveMembersOf(GroupId group) const {

@@ -5,12 +5,13 @@
 // Write path (one thread at a time): apply() ingests a batch of
 // group-tagged membership events. A serial pre-pass installs the batch's
 // group slots and groups the batch into one *run* per touched group (that
-// group's events, in batch order), heaviest first. The runs then go out
-// as one job on the shared thread pool: each free worker claims the next
-// run, applies its events and republishes a fresh immutable RouteTable
-// for that group. A group's run is claimed by exactly one worker, so
-// builders never contend, and no group is owned by any worker between
-// batches.
+// group's events, in batch order), heaviest first, with two stable radix
+// sorts. The runs then go out as one job on the shared thread pool: each
+// worker claims runs from a shared cursor, keeps its next three in hand
+// while it prefetches their group state, applies each run's events and
+// republishes a fresh immutable RouteTable for that group. A group's run
+// is claimed by exactly one worker, so builders never contend, and no
+// group is owned by any worker between batches.
 //
 // Read path (any number of threads, any time): each group slot holds an
 // atomic snapshot pointer (a shared_ptr swapped under a per-slot
@@ -39,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -177,10 +177,6 @@ class GroupManager {
   /// is not (or the group does not exist).
   HostId parentOf(GroupId group, HostId host) const;
 
-  /// The member's children in the group's current snapshot (copied, so no
-  /// lifetime coupling; prefer routes() in hot loops).
-  std::vector<HostId> childrenOf(GroupId group, HostId host) const;
-
   /// Publish generation of the group's current snapshot (0 = never).
   std::uint64_t epochOf(GroupId group) const;
 
@@ -189,8 +185,9 @@ class GroupManager {
   std::int64_t groupCount() const {
     return static_cast<std::int64_t>(createdGroups_.size());
   }
-  /// Groups currently holding live state (created minus torn down).
-  std::int64_t liveGroupCount() const;
+  /// Groups currently holding live state (created minus torn down); a
+  /// running total, O(1).
+  std::int64_t liveGroupCount() const { return liveGroups_; }
   /// Current live member count of one group (0 when torn down/unknown).
   std::int64_t liveMembersOf(GroupId group) const;
   GroupStats groupStats(GroupId group) const;
@@ -223,13 +220,20 @@ class GroupManager {
   /// One quiesce pass over a group; true when nothing is left degraded.
   bool quiesceGroup(GroupSlot& slot, GroupId group, double now,
                     int maxRounds, WorkerReport& report);
-  /// Run fn(i, report) for every i in [0, count), claimed one index at a
-  /// time by whichever worker slot is free; `report` is that slot's
-  /// tally. Returns the tallies summed (integer sums, so the total is the
-  /// same for any worker count) after folding them into stats_.
-  WorkerReport claimEach(
-      std::int64_t count,
-      const std::function<void(std::int64_t, WorkerReport&)>& fn);
+  /// Run fn(i, slot, report) for every item i in [0, count), where `slot`
+  /// is the slot of group groupOf(i) and `report` the running worker
+  /// slot's tally. Each worker claims items from a shared cursor and holds
+  /// its next kClaimAhead, prefetching their group state in stages (see
+  /// the .cc); hint(i, state) adds item i's own hints once its group's
+  /// state is near. Returns the tallies summed (integer sums, so the total
+  /// is the same for any worker count) after foldReports().
+  template <class GroupOf, class Hint, class Fn>
+  WorkerReport claimEach(std::int64_t count, const GroupOf& groupOf,
+                         const Hint& hint, const Fn& fn);
+  /// Sums the worker slots' tallies into stats_, the load figures, the
+  /// live-group total and the metrics; runs after a throwing pass too, so
+  /// the totals keep what the pass applied.
+  WorkerReport foldReports();
 
   ServiceOptions options_;
   int workers_ = 1;
@@ -239,12 +243,16 @@ class GroupManager {
   /// reader's acquire-load sees fully-constructed slots.
   std::unique_ptr<std::atomic<GroupSlot*>[]> pages_;
   std::vector<GroupId> createdGroups_;
+  std::int64_t liveGroups_ = 0;  ///< states created minus torn down
   ServiceStats stats_;
   std::vector<std::int64_t> workerLoad_;  ///< cumulative, by worker slot
   // Writer-side scratch reused across batches, so the steady-state batch
-  // path does not re-allocate them.
+  // path does not re-allocate them. Each radix-sorted array has a second
+  // buffer of the same type for the sort's passes to alternate with.
   std::vector<std::pair<GroupId, std::size_t>> order_;  ///< (group, event)
+  std::vector<std::pair<GroupId, std::size_t>> orderScratch_;
   std::vector<Run> runs_;
+  std::vector<Run> runsScratch_;
   std::vector<WorkerReport> reports_;  ///< by worker slot
 };
 

@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "omt/common/prefetch.h"
 #include "omt/protocol/overlay_session.h"
 
 namespace omt {
@@ -163,6 +164,24 @@ class RouteTable {
   /// Exact structural equality including arrays, fingerprint, group, and
   /// epoch — the delta-vs-full bit-identity oracle.
   bool identicalTo(const RouteTable& other) const;
+
+  /// Prefetch hint for the first lines of each array in the slab (all of
+  /// it for the small tables most groups publish): the delta path reads a
+  /// previous epoch's arrays from the front (kRead), and a recycled
+  /// table's slab is overwritten from the front (kWrite). Like
+  /// OverlaySession::prefetch it reads only the table's own spans and
+  /// changes no state.
+  void prefetch(PrefetchFor intent) const {
+    const auto head = [intent](const auto span) {
+      prefetchRange(span.data(),
+                    std::min(span.size_bytes(), 2 * kCacheLineBytes), intent);
+    };
+    head(hosts_);
+    head(parent_);
+    head(childStorage_);
+    head(childOffset_);
+    head(parentIdx_);
+  }
 
   /// Build a table from the live, *attached* membership of `session`:
   /// parked hosts and pending crashes are not routable and are excluded.

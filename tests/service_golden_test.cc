@@ -1,9 +1,11 @@
 // Golden service fingerprints: fixed membership scripts replayed through
-// GroupManager must land on these exact serviceFingerprint values, at one
-// and at four workers. The other service suites compare two runs
-// of the same build (delta against full, one worker against many), so a
-// change that moved every representative the same way would pass them;
-// these constants pin the published trees themselves. If the service's
+// GroupManager must land on these exact serviceFingerprint values, at 1,
+// 2, 3, 4 and 7 workers (at 7, a 128-event batch over 16 groups has
+// fewer runs than the workers' claim windows hold). The other service
+// suites compare two runs of the same build (delta against full, one
+// worker against many), so a change that moved every representative the
+// same way would pass them; these constants pin the published trees
+// themselves. If the service's
 // trees are changed deliberately, update the constants (and say so in the
 // change description).
 #include <cstdint>
@@ -60,7 +62,7 @@ TEST(ServiceGoldenTest, ReplayFingerprintsArePinned) {
   };
   for (const GoldenCase& c : cases) {
     const std::vector<MembershipEvent> events = goldenScript(c.dim);
-    for (const int workers : {1, 4}) {
+    for (const int workers : {1, 2, 3, 4, 7}) {
       GroupManager manager(goldenOptions(c, workers));
       const ReplayResult result =
           replayScript(manager, events, {.batchSize = 128});
